@@ -3,8 +3,10 @@
 * :mod:`repro.core.bags` — Video Sequences as MIL bags, Trajectory
   Sequences as instances (paper Eq. 3-4).
 * :mod:`repro.core.heuristics` — the initial, feedback-free ranking.
-* :mod:`repro.core.engine` — the One-class-SVM MIL retrieval engine
-  (paper Section 5).
+* :mod:`repro.core.rule` — the paper's learning rule (Section 5.3).
+* :mod:`repro.core.sharded` / :mod:`repro.core.engine` — the
+  One-class-SVM MIL retrieval engine over a corpus of per-clip shards,
+  and over one clip (paper Section 5).
 * :mod:`repro.core.weighted_rf` — the weighted relevance-feedback
   baseline the paper compares against (Section 6.2).
 * :mod:`repro.core.feedback` — the interactive loop and the oracle user.

@@ -41,6 +41,20 @@ class InstanceExplanation:
     feature_names: tuple[str, ...]
     matrix: np.ndarray
 
+    @classmethod
+    def for_bag(cls, bag, scores: Mapping[int, float],
+                feature_names: tuple[str, ...]) -> list["InstanceExplanation"]:
+        """One explanation per instance of ``bag``, best ``scores``
+        (instance id -> relevance) first."""
+        ordered = sorted(bag.instances, key=lambda i: scores[i.instance_id],
+                         reverse=True)
+        return [
+            cls(rank=rank, instance_id=inst.instance_id,
+                track_id=inst.track_id, score=float(scores[inst.instance_id]),
+                feature_names=feature_names, matrix=inst.matrix)
+            for rank, inst in enumerate(ordered, start=1)
+        ]
+
     def peak_feature(self) -> tuple[str, float]:
         """(channel name, signed value) of the largest |feature| entry."""
         flat_index = int(np.argmax(np.abs(self.matrix)))
@@ -117,17 +131,6 @@ class RetrievalEngine(ABC):
         return self.has_relevant_feedback
 
     # -- ranking ----------------------------------------------------------
-    def _instance_score_values(self) -> np.ndarray:
-        """Instance scores aligned with bag-contiguous instance order.
-
-        Default adapts the :meth:`_instance_scores` dict; engines that
-        already hold scores as an aligned array override this to skip
-        the dict round-trip on the ranking hot path.
-        """
-        scores = self._instance_scores()
-        return np.fromiter((scores[i] for i in self._instance_order),
-                           dtype=float, count=len(self._instance_order))
-
     def bag_scores(self) -> np.ndarray:
         """Scores aligned with ``dataset.bags`` (higher = more relevant).
 
@@ -137,7 +140,9 @@ class RetrievalEngine(ABC):
         """
         if not self.is_trained:
             return self._heuristic_bag_scores.copy()
-        values = self._instance_score_values()
+        by_id = self._instance_scores()
+        values = np.fromiter((by_id[i] for i in self._instance_order),
+                             dtype=float, count=len(self._instance_order))
         scores = np.full(len(self.dataset.bags), -np.inf)
         non_empty = self._bag_sizes > 0
         if non_empty.any():
@@ -191,22 +196,9 @@ class RetrievalEngine(ABC):
         hit".  Uses the trained model's scores when available, the
         heuristic otherwise.
         """
-        bag = self.dataset.bag_by_id(bag_id)
-        scores = self.instance_relevance()
-        ordered = sorted(bag.instances,
-                         key=lambda i: scores[i.instance_id],
-                         reverse=True)
-        return [
-            InstanceExplanation(
-                rank=rank,
-                instance_id=inst.instance_id,
-                track_id=inst.track_id,
-                score=float(scores[inst.instance_id]),
-                feature_names=self.dataset.feature_names,
-                matrix=inst.matrix,
-            )
-            for rank, inst in enumerate(ordered, start=1)
-        ]
+        return InstanceExplanation.for_bag(
+            self.dataset.bag_by_id(bag_id), self.instance_relevance(),
+            self.dataset.feature_names)
 
     # -- to implement ------------------------------------------------------
     @abstractmethod

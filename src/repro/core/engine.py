@@ -1,253 +1,57 @@
-"""The paper's MIL retrieval engine: One-class SVM over TS vectors.
+"""The paper's MIL retrieval engine over one clip (paper Section 5).
 
-Section 5.3: the training set collects the Trajectory Sequences of the
-bags the user confirmed relevant; the One-class SVM "learns from the
-entire trajectory sequence (TS) within the window" — the flattened
-(window x features) vector — with outlier fraction
-
-    delta = 1 - (h / H + z)                      (paper Eq. 9)
-
-where ``h`` is the number of relevant VSs, ``H`` the number of TSs in the
-training set and ``z`` a small slack (0.05 in the paper).  Every TS in
-the database is then scored by the SVM decision value and each VS by the
-maximum over its TSs (the Eq. 3 bag semantics).
+The learning rule lives in :class:`~repro.core.rule.OneClassRule` and the
+engine in :class:`~repro.core.sharded.ShardedRetrievalEngine`; one clip
+is simply a corpus with one shard.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.bags import Bag, MILDataset
-from repro.core.base import RetrievalEngine
+from repro.core.bags import MILDataset
+from repro.core.sharded import (
+    CorpusShard,
+    ShardedCorpus,
+    ShardedRetrievalEngine,
+    ShardSpec,
+)
 from repro.errors import ConfigurationError
-from repro.svm.gram_cache import GramCache
-from repro.svm.kernels import Kernel, resolve_kernel
-from repro.svm.one_class import OneClassSVM
-from repro.svm.scaling import StandardScaler
-from repro.utils import check_in_range
 
 __all__ = ["MILRetrievalEngine"]
 
 
-def _parse_policy(policy: str) -> int | None:
-    """'all' -> None (no cap); 'top<m>' -> m."""
-    if policy == "all":
-        return None
-    if policy.startswith("top"):
-        try:
-            m = int(policy[3:])
-        except ValueError:
-            m = 0
-        if m >= 1:
-            return m
-    raise ConfigurationError(
-        f"training_policy must be 'all' or 'top<m>' (m >= 1), got "
-        f"{policy!r}"
-    )
+class MILRetrievalEngine(ShardedRetrievalEngine):
+    """Interactive MIL retrieval with a One-class SVM core, over one clip.
 
-
-class MILRetrievalEngine(RetrievalEngine):
-    """Interactive MIL retrieval with a One-class SVM core.
-
-    Parameters
-    ----------
-    dataset:
-        The clip's bags/instances for one event model.
-    z:
-        Slack of Eq. (9); the paper reports z = 0.05 "works well".
-    kernel / gamma:
-        Passed to :class:`~repro.svm.one_class.OneClassSVM`.  Default is
-        RBF with gamma = 1/d on the standardized TS vectors; gamma =
-        "scale" is a poor choice here because the training set consists
-        of feature *spikes* whose variance is far above the dataset's.
-    training_policy:
-        How "the highest scored TSs in the relevant VSs" (Section 5.3)
-        are collected: ``"top<m>"`` takes the m highest heuristic-scored
-        TSs per relevant bag (default ``"top1"``, the paper's literal
-        reading), ``"all"`` takes every TS (the reading under which
-        Eq. 9's h/H ratio is informative).  Under Eq. 9 the outlier
-        fraction expels the collected-but-irrelevant extras.
-    nu_bounds:
-        Clipping range for the computed outlier fraction.
-    warm_start:
-        Seed each round's SMO solve with the previous round's alphas
-        (matched by instance id, projected to feasibility).  Same optimum
-        within solver tolerance, fewer iterations per round.
-    learner:
-        ``"ocsvm"`` (Schoelkopf's hyperplane machine, the paper's cited
-        learner) or ``"svdd"`` (Tax & Duin's hypersphere — the "ball" of
-        the paper's Figure 5).  Equivalent rankings under RBF kernels;
-        they differ for linear/polynomial kernels.
-    use_cache:
-        Reuse kernel columns between the database matrix and training
-        instances across feedback rounds (:class:`GramCache`).  Since
-        labels accumulate, a warm round only evaluates the kernel
-        against *newly* labelled instances; scores agree with the
-        uncached path to floating point tolerance.  Disable to force a
-        full kernel evaluation every round.
-
-    The engine materializes one contiguous ``(n_instances, d)`` float64
-    matrix and an ``instance_id -> row`` index at construction; training
-    and scoring slice rows of the standardized database matrix (computed
-    exactly once) instead of re-stacking per-instance vectors per round.
+    A :class:`~repro.core.sharded.ShardedRetrievalEngine` over a one-shard
+    corpus of ``dataset``, which stays available as :attr:`dataset`;
+    keyword arguments configure the engine (``z``, ``kernel``, ``gamma``,
+    ``training_policy``, ``nu_bounds``, ``learner``, ``warm_start``, ...).
+    The shard keeps the dataset's ids, so they must already be
+    positional: bag ids ``0..n-1`` in order and instance ids ``0..N-1``
+    bag-contiguously, as every builder in this package numbers them.
     """
 
-    def __init__(
-        self,
-        dataset: MILDataset,
-        *,
-        z: float = 0.05,
-        kernel: str | Kernel = "rbf",
-        gamma: float | str = "auto",
-        training_policy: str = "top1",
-        nu_bounds: tuple[float, float] = (0.05, 0.95),
-        warm_start: bool = False,
-        learner: str = "ocsvm",
-        use_cache: bool = True,
-    ) -> None:
-        super().__init__(dataset)
-        check_in_range("z", z, 0.0, 0.5)
-        self._top_m = _parse_policy(training_policy)
-        lo, hi = nu_bounds
-        check_in_range("nu lower bound", lo, 0.0, 1.0, inclusive=(False, True))
-        check_in_range("nu upper bound", hi, lo, 1.0)
-        if learner not in ("ocsvm", "svdd"):
-            raise ConfigurationError(
-                f"learner must be 'ocsvm' or 'svdd', got {learner!r}"
-            )
-        self.z = float(z)
-        self.kernel = kernel
-        self.gamma = gamma
-        self.training_policy = training_policy
-        self.nu_bounds = (float(lo), float(hi))
-        self.learner = learner
+    def __init__(self, dataset: MILDataset, **kwargs) -> None:
+        next_instance = 0
+        for position, bag in enumerate(dataset.bags):
+            ids = [inst.instance_id for inst in bag.instances]
+            if bag.bag_id != position or ids != list(
+                    range(next_instance, next_instance + len(ids))):
+                raise ConfigurationError(
+                    f"dataset {dataset.clip_id!r} is not positionally "
+                    f"numbered: bag #{position} has id {bag.bag_id} and "
+                    f"instance ids {ids[:5]}; renumber it (e.g. with "
+                    f"merge_datasets) first")
+            next_instance += len(ids)
+        spec = ShardSpec(clip_id=dataset.clip_id, n_bags=len(dataset.bags),
+                         n_instances=dataset.n_instances,
+                         loader=lambda: dataset)
+        super().__init__(ShardedCorpus([spec], corpus_id=dataset.clip_id,
+                                       event_name=dataset.event_name),
+                         **kwargs)
+        self.dataset = dataset
 
-        instances = dataset.all_instances()
-        self._instance_ids = [inst.instance_id for inst in instances]
-        self._row_of = {iid: r for r, iid in enumerate(self._instance_ids)}
-        matrix = np.ascontiguousarray(
-            np.stack([inst.vector for inst in instances]), dtype=np.float64)
-        self._scaler = StandardScaler().fit(matrix)
-        self._database = np.ascontiguousarray(
-            self._scaler.transform(matrix))
-        self.use_cache = bool(use_cache)
-        self._gram_cache = GramCache(self._database) if use_cache else None
-        self._round_training_ids: list[int] | None = None
-        self._round_kernel: Kernel | None = None
-        self._bag_ranked_ids: dict[int, tuple[int, ...]] = {}
-        self._rebuild_bag_rankings()
-        self._model: OneClassSVM | None = None
-        self.warm_start = bool(warm_start)
-        self._previous_alpha: dict[int, float] = {}
-        self.last_nu_: float | None = None
-        self.training_size_: int = 0
-
-    # -- training set construction ----------------------------------------
-    def _rebuild_bag_rankings(self) -> None:
-        """Precompute each bag's instances in descending heuristic order.
-
-        The training-set policy ("the highest scored TSs in the relevant
-        VSs") needs every relevant bag's instances ranked by heuristic
-        score; those scores are fixed after construction, so the sort
-        happens once here instead of once per bag per feedback round.
-        Subclasses that replace ``_heuristic_instance_scores`` (e.g. the
-        query-by-example engines) must call this again afterwards.
-        """
-        scores = self._heuristic_instance_scores
-        self._bag_ranked_ids = {
-            bag.bag_id: tuple(
-                inst.instance_id
-                for inst in sorted(bag.instances,
-                                   key=lambda i: scores[i.instance_id],
-                                   reverse=True)
-            )
-            for bag in self.dataset.bags
-        }
-
-    def _training_instance_ids(self, relevant_bags: list[Bag]) -> list[int]:
-        ids: list[int] = []
-        for bag in relevant_bags:
-            ranked = self._bag_ranked_ids[bag.bag_id]
-            take = len(ranked) if self._top_m is None else self._top_m
-            ids.extend(ranked[:take])
-        return ids
-
-    def _compute_nu(self, n_relevant_bags: int, n_training: int) -> float:
-        nu = 1.0 - (n_relevant_bags / n_training + self.z)
-        return float(np.clip(nu, *self.nu_bounds))
-
-    # -- RetrievalEngine hooks ----------------------------------------------
     @property
-    def is_trained(self) -> bool:
-        return self._model is not None
-
-    def _retrain(self) -> None:
-        relevant = [
-            self.dataset.bag_by_id(b) for b in self.relevant_bag_ids
-        ]
-        training_ids = self._training_instance_ids(relevant)
-        if not training_ids:
-            self._model = None
-            self._round_training_ids = None
-            return
-        rows = np.asarray([self._row_of[i] for i in training_ids])
-        x = self._database[rows]
-        nu = self._compute_nu(len(relevant), len(training_ids))
-        self.last_nu_ = nu
-        self.training_size_ = len(training_ids)
-        gram = None
-        self._round_training_ids = None
-        self._round_kernel = None
-        if self._gram_cache is not None:
-            # Resolve + prepare exactly as the learner will, so the cached
-            # columns and the learner's kernel carry identical parameters.
-            kernel = resolve_kernel(self.kernel,
-                                    gamma=self.gamma).prepare(x)
-            self._gram_cache.ensure(kernel, training_ids, rows)
-            gram = self._gram_cache.gram(training_ids, rows)
-            self._round_training_ids = training_ids
-            self._round_kernel = kernel
-        if self.learner == "svdd":
-            from repro.svm.svdd import SVDD
-
-            self._model = SVDD(nu=nu, kernel=self.kernel,
-                               gamma=self.gamma).fit(x, gram=gram)
-            return
-        alpha0 = None
-        if self.warm_start and self._previous_alpha:
-            alpha0 = np.array([
-                self._previous_alpha.get(i, 0.0) for i in training_ids
-            ])
-        self._model = OneClassSVM(nu=nu, kernel=self.kernel,
-                                  gamma=self.gamma).fit(x, alpha0=alpha0,
-                                                        gram=gram)
-        if self.warm_start:
-            assert self._model.alpha_ is not None
-            self._previous_alpha = dict(
-                zip(training_ids, self._model.alpha_)
-            )
-
-    def _instance_score_values(self) -> np.ndarray:
-        """Database decision values, aligned with the instance row order."""
-        assert self._model is not None, "scored before any relevant feedback"
-        if self._round_training_ids is not None:
-            assert (self._model.support_ is not None
-                    and self._gram_cache is not None)
-            support_ids = [self._round_training_ids[s]
-                           for s in self._model.support_]
-            cross = self._gram_cache.cross(support_ids)
-            if self.learner == "svdd":
-                assert (self._gram_cache is not None
-                        and self._round_kernel is not None)
-                assert self._round_kernel is not None
-                decisions = self._model.decision_function(
-                    cross=cross,
-                    self_sim=self._gram_cache.diag(self._round_kernel))
-            else:
-                decisions = self._model.decision_function(cross=cross)
-        else:
-            decisions = self._model.decision_function(self._database)
-        return decisions.astype(float)
-
-    def _instance_scores(self) -> dict[int, float]:
-        return dict(zip(self._instance_ids, self._instance_score_values()))
+    def shard(self) -> CorpusShard:
+        """The corpus' single shard (loaded on first use)."""
+        return self.corpus.shard(self.dataset.clip_id)

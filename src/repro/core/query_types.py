@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.bags import MILDataset
 from repro.core.engine import MILRetrievalEngine
+from repro.core.heuristics import heuristic_scores
 from repro.errors import ConfigurationError
 from repro.events.features import SamplingConfig, extract_series
 from repro.events.models import EventModel
@@ -104,13 +105,10 @@ class ExampleQueryEngine(MILRetrievalEngine):
     def __init__(self, dataset: MILDataset, examples, *,
                  use_scaler: bool = True, **kwargs) -> None:
         super().__init__(dataset, **kwargs)
-        bag_scores, instance_scores = similarity_scores(
-            dataset, examples,
-            scaler=self._scaler if use_scaler else None)
-        self._heuristic_bag_scores = bag_scores
-        self._heuristic_instance_scores = instance_scores
         # The per-bag training order follows the (replaced) initial scores.
-        self._rebuild_bag_rankings()
+        self.shard.set_initial_scores(*similarity_scores(
+            dataset, examples,
+            scaler=self._ensure_standardized() if use_scaler else None))
 
 
 def sketch_to_example(
@@ -181,11 +179,10 @@ class CombinedQueryEngine(MILRetrievalEngine):
             if weight < 0:
                 raise ConfigurationError("component weights must be >= 0")
             if kind == "heuristic":
-                bag_scores = self._heuristic_bag_scores.copy()
-                inst_scores = dict(self._heuristic_instance_scores)
+                bag_scores, inst_scores = heuristic_scores(dataset)
             elif kind == "examples":
                 bag_scores, inst_scores = similarity_scores(
-                    dataset, payload, scaler=self._scaler)
+                    dataset, payload, scaler=self._ensure_standardized())
             else:
                 raise ConfigurationError(
                     f"unknown query component kind {kind!r}"
@@ -199,11 +196,9 @@ class CombinedQueryEngine(MILRetrievalEngine):
             weight_sum += weight
         if weight_sum <= 0:
             raise ConfigurationError("total component weight must be > 0")
-        self._heuristic_bag_scores = total_bag / weight_sum
-        self._heuristic_instance_scores = {
-            k: v / weight_sum for k, v in total_inst.items()
-        }
-        self._rebuild_bag_rankings()
+        self.shard.set_initial_scores(
+            total_bag / weight_sum,
+            {k: v / weight_sum for k, v in total_inst.items()})
 
 
 def _unit_scale(values: np.ndarray) -> np.ndarray:

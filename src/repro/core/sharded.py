@@ -2,11 +2,11 @@
 
 The paper's end state is retrieval over a whole surveillance *database*
 ("ideally, all the video clips in a transportation surveillance video
-database shall be mined and retrieved as a whole", Section 6.2).  The
-merged-dataset path (:func:`repro.core.bags.merge_datasets`) gets the
-semantics right but materializes every clip into one monolithic
-:class:`~repro.core.bags.MILDataset` and scores every instance with the
-one-class SVM each feedback round — linear round latency in corpus size.
+database shall be mined and retrieved as a whole", Section 6.2).
+Merging every clip into one monolithic
+:class:`~repro.core.bags.MILDataset` gets the semantics right but scores
+every instance with the one-class SVM each feedback round — linear round
+latency in corpus size.
 
 This module keeps the corpus sharded per clip and ranks in two stages,
 the coarse-to-fine shape of progressive surveillance search systems:
@@ -19,13 +19,14 @@ the coarse-to-fine shape of progressive surveillance search systems:
    :class:`~repro.svm.gram_cache.GramCache` so warm rounds reuse kernel
    columns, pruned shards evaluate one small kernel block;
 3. per-shard rankings are **k-way merged** lazily under the global
-   deterministic order (score descending, bag id ascending — exactly
-   the monolithic engine's tie-break), with pruned bags appended after
-   all candidates in heuristic order.
+   deterministic order (score descending, bag id ascending), with pruned
+   bags appended after all candidates in heuristic order.
 
 Global bag/instance ids replicate ``merge_datasets``' positional
 renumbering, so with pruning disabled (``candidates_per_shard=None``)
-the ranking reproduces the monolithic engine's, round for round.
+the ranking is the one the merged dataset would get.  A single clip is
+a one-shard corpus: :class:`~repro.core.engine.MILRetrievalEngine` is
+this engine over one.
 
 The corpus layer is database-agnostic: a :class:`ShardSpec` carries a
 zero-argument ``loader`` callback, so :mod:`repro.db` can hand out
@@ -45,8 +46,9 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from repro.core.bags import Bag, Instance, MILDataset
-from repro.core.engine import _parse_policy
+from repro.core.base import InstanceExplanation
 from repro.core.heuristics import heuristic_scores
+from repro.core.rule import OneClassRule
 from repro.errors import (
     ConfigurationError,
     ShardUnavailableError,
@@ -57,9 +59,8 @@ from repro.obs import get_telemetry
 from repro.reliability.retry import RetryPolicy
 from repro.svm.gram_cache import GramCache
 from repro.svm.kernels import Kernel, RBFKernel
-from repro.svm.one_class import OneClassSVM
 from repro.svm.scaling import StandardScaler
-from repro.utils import check_in_range, row_sq_norms
+from repro.utils import check_in_range
 
 __all__ = ["ShardSpec", "CorpusShard", "ShardedCorpus", "CorpusPool",
            "ShardedRetrievalEngine", "HeuristicNominator", "IVFNominator",
@@ -137,35 +138,51 @@ class CorpusShard:
         self.matrix: np.ndarray | None = None
         self.gram_cache: GramCache | None = None
 
-        bag_scores, inst_scores = heuristic_scores(self.dataset)
-        self.heuristic_bags = bag_scores
-        self.heuristic_instances = np.array(
-            [inst_scores[inst.instance_id] for inst in instances])
-        self.bag_ranked_ids = {
-            bag.bag_id: tuple(
-                inst.instance_id
-                for inst in sorted(bag.instances,
-                                   key=lambda i: inst_scores[i.instance_id],
-                                   reverse=True)
-            )
-            for bag in self.dataset.bags
-        }
-        self.bag_sizes = np.array([b.n_instances for b in self.dataset.bags])
-        self.bag_starts = np.concatenate(
-            ([0], np.cumsum(self.bag_sizes)))[:-1].astype(int)
-        self._heuristic_order: np.ndarray | None = None
-        self._heuristic_rank: np.ndarray | None = None
         # candidate_positions memo: m (or None) -> positions.  All
         # caches below die with the shard object, so a corpus reload
         # (new metadata_version) can never serve stale prefixes.
         self._candidate_cache: dict[int | None, np.ndarray] = {}
         self.heuristic_order_computes = 0
+        self.set_initial_scores(*heuristic_scores(self.dataset))
         self._ivf_indexes: dict[tuple[int, int, int], IVFIndex] = {}
         #: Serializes engine access to this shard's mutable ranking
         #: state (standardized matrix, Gram cache fills + cross reads)
         #: when several sessions share one corpus.  The engine holds it
         #: across ensure_vectors + cross so the pair stays atomic.
         self.lock = threading.RLock()
+
+    def set_initial_scores(self, bag_scores: np.ndarray,
+                           instance_scores: Mapping[int, float]) -> None:
+        """Install the feedback-free ranking of this shard.
+
+        ``bag_scores`` is aligned with the shard's bags, and
+        ``instance_scores`` maps global instance ids to scores.  Every
+        array built from them is rebuilt: the instance score vector,
+        each bag's instances in descending score order (what the
+        training policy picks from) and the bag layout; the memos keyed
+        on the old nomination order are dropped.
+        """
+        bags = self.dataset.bags
+        self.heuristic_bags = np.asarray(bag_scores, dtype=float)
+        self.heuristic_instances = np.array(
+            [instance_scores[inst.instance_id]
+             for inst in self.dataset.all_instances()])
+        self.bag_ranked_ids = {
+            bag.bag_id: tuple(
+                inst.instance_id
+                for inst in sorted(bag.instances,
+                                   key=lambda i: instance_scores[
+                                       i.instance_id],
+                                   reverse=True)
+            )
+            for bag in bags
+        }
+        self.bag_sizes = np.array([b.n_instances for b in bags])
+        self.bag_starts = np.concatenate(
+            ([0], np.cumsum(self.bag_sizes)))[:-1].astype(int)
+        self._heuristic_order: np.ndarray | None = None
+        self._heuristic_rank: np.ndarray | None = None
+        self._candidate_cache.clear()
 
     def _renumber(self, local: MILDataset) -> MILDataset:
         out = MILDataset(
@@ -310,26 +327,7 @@ class CorpusShard:
                                          dtype=np.float64)
             self.matrix_raw = (block if self.matrix_raw is None
                                else np.vstack([self.matrix_raw, block]))
-        instances = self.dataset.all_instances()
-        bag_scores, inst_scores = heuristic_scores(self.dataset)
-        self.heuristic_bags = bag_scores
-        self.heuristic_instances = np.array(
-            [inst_scores[inst.instance_id] for inst in instances])
-        self.bag_ranked_ids = {
-            bag.bag_id: tuple(
-                inst.instance_id
-                for inst in sorted(bag.instances,
-                                   key=lambda i: inst_scores[i.instance_id],
-                                   reverse=True)
-            )
-            for bag in self.dataset.bags
-        }
-        self.bag_sizes = np.array([b.n_instances for b in self.dataset.bags])
-        self.bag_starts = np.concatenate(
-            ([0], np.cumsum(self.bag_sizes)))[:-1].astype(int)
-        self._heuristic_order = None
-        self._heuristic_rank = None
-        self._candidate_cache.clear()
+        self.set_initial_scores(*heuristic_scores(self.dataset))
         self.matrix = None
         self.gram_cache = None
         self.spec = replace(self.spec, n_bags=self.n_bags,
@@ -742,7 +740,7 @@ class HeuristicNominator:
 
     This is the exact-compatible path — with ``candidates_per_shard=None``
     every bag is nominated and the two-stage ranking reproduces the
-    monolithic engine's.
+    merged dataset's.
     """
 
     name = "heuristic"
@@ -872,14 +870,14 @@ def _resolve_nominator(nominator):
 class ShardedRetrievalEngine:
     """Two-stage MIL retrieval over a :class:`ShardedCorpus`.
 
-    Same learning rule as
-    :class:`~repro.core.engine.MILRetrievalEngine` — one-class SVM on
-    the top heuristic Trajectory Sequences of the relevant bags, nu from
-    the paper's Eq. (9) — but scoring is organized shard by shard:
+    The paper's learning rule (:class:`~repro.core.rule.OneClassRule`:
+    one-class SVM on the top heuristic Trajectory Sequences of the
+    relevant bags, nu from Eq. 9), with scoring organized shard by
+    shard:
 
     * ``candidates_per_shard=None`` scores every bag exactly (through
       each shard's :class:`GramCache`, so warm rounds reuse kernel
-      columns) and reproduces the monolithic engine's ranking.
+      columns).
     * ``candidates_per_shard=M`` scores only each shard's nominated
       candidates with the SVM; the remaining bags keep their heuristic
       order *after* all candidates — a recall/latency knob.
@@ -896,10 +894,14 @@ class ShardedRetrievalEngine:
       the ranking is missing; under ``"strict"`` (default) the
       :class:`~repro.errors.ShardUnavailableError` propagates.
 
+    ``z``, ``kernel``, ``gamma``, ``training_policy``, ``nu_bounds``,
+    ``learner`` and ``warm_start`` configure the rule.
+
     The engine deliberately duck-types ``RetrievalEngine`` (``feed`` /
-    ``rank`` / ``top_k`` / ``labels`` / ``dataset``) instead of
-    subclassing it: the base class materializes one dataset-wide matrix
-    at construction, which is exactly what sharding avoids.
+    ``rank`` / ``top_k`` / ``bag_scores`` / ``explain`` / ``labels`` /
+    ``dataset``) instead of subclassing it: the base class materializes
+    one dataset-wide matrix at construction, which is exactly what
+    sharding avoids.
     """
 
     def __init__(
@@ -914,6 +916,7 @@ class ShardedRetrievalEngine:
         training_policy: str = "top1",
         nu_bounds: tuple[float, float] = (0.05, 0.95),
         learner: str = "ocsvm",
+        warm_start: bool = False,
         failure_policy: str = "strict",
     ) -> None:
         if len(corpus) == 0:
@@ -932,26 +935,13 @@ class ShardedRetrievalEngine:
                 f"candidates_per_shard must be >= 1 or None, got "
                 f"{candidates_per_shard}"
             )
-        check_in_range("z", z, 0.0, 0.5)
-        self._top_m = _parse_policy(training_policy)
-        lo, hi = nu_bounds
-        check_in_range("nu lower bound", lo, 0.0, 1.0,
-                       inclusive=(False, True))
-        check_in_range("nu upper bound", hi, lo, 1.0)
-        if learner not in ("ocsvm", "svdd"):
-            raise ConfigurationError(
-                f"learner must be 'ocsvm' or 'svdd', got {learner!r}"
-            )
+        self.rule = OneClassRule(
+            z=z, kernel=kernel, gamma=gamma, training_policy=training_policy,
+            nu_bounds=nu_bounds, learner=learner, warm_start=warm_start)
         self.dataset = corpus
         self.corpus = corpus
         self.candidates_per_shard = candidates_per_shard
         self.nominator = _resolve_nominator(nominator)
-        self.z = float(z)
-        self.kernel = kernel
-        self.gamma = gamma
-        self.training_policy = training_policy
-        self.nu_bounds = (float(lo), float(hi))
-        self.learner = learner
         #: ``strict`` (default): a failing shard raises
         #: :class:`ShardUnavailableError` out of rank/feed.
         #: ``degraded``: the round proceeds over the healthy shards and
@@ -966,11 +956,6 @@ class ShardedRetrievalEngine:
         self.last_round_stats: dict | None = None
         self.labels: dict[int, bool] = {}
         self._scaler: StandardScaler | None = None
-        self._model = None
-        self._support_ids: list[int] = []
-        self._support_x: np.ndarray | None = None
-        self._support_sq: np.ndarray | None = None
-        self._round_kernel: Kernel | None = None
         self.last_nu_: float | None = None
         self.training_size_: int = 0
         # Per-round ranking state, rebuilt lazily after each feed():
@@ -986,6 +971,12 @@ class ShardedRetrievalEngine:
         self._availability_version = corpus.availability_version
         self._training_bags_skipped = 0
         self._round_shards: list[CorpusShard] = []
+
+    def _drop_round(self) -> None:
+        """Forget the cached ranking round (merge streams, nominations)."""
+        self._candidate_streams = None
+        self._leftover_streams = None
+        self._round_nominated = None
 
     def _sync_corpus(self) -> None:
         """Catch up with live-corpus mutations (appends / reloads).
@@ -1006,10 +997,7 @@ class ShardedRetrievalEngine:
             with shard.lock:
                 shard.matrix = None
                 shard.gram_cache = None
-        self._candidate_streams = None
-        self._leftover_streams = None
-        self._round_nominated = None
-        self._round_queries = None
+        self._drop_round()
         get_telemetry().counter("sharded.corpus_syncs").inc()
         if self.labels:
             self._retrain()
@@ -1052,10 +1040,7 @@ class ShardedRetrievalEngine:
             )
         self.labels.update({int(k): bool(v) for k, v in labels.items()})
         self._retrain()
-        self._candidate_streams = None
-        self._leftover_streams = None
-        self._round_nominated = None
-        self._round_queries = None
+        self._drop_round()
 
     @property
     def relevant_bag_ids(self) -> list[int]:
@@ -1071,22 +1056,22 @@ class ShardedRetrievalEngine:
 
     @property
     def is_trained(self) -> bool:
-        return self._model is not None
+        return self.rule.model is not None
 
     # -- training ---------------------------------------------------------
-    def _ensure_standardized(self) -> None:
+    def _ensure_standardized(self) -> StandardScaler:
         """Fit the global scaler and standardize every shard (once).
 
         The scaler sees the vstack of the shards' raw matrices — the
-        exact rows, in the exact order, the monolithic engine stacks —
-        so per-shard standardized matrices are bit-identical to the
-        corresponding monolithic rows.  In degraded mode quarantined
+        exact rows, in the exact order, of the merged dataset — so
+        per-shard standardized matrices are bit-identical to the
+        corresponding merged rows.  In degraded mode quarantined
         shards are excluded from the fit; a recovery bumps the corpus
         mutation counter, which resets the scaler so the healed corpus
         is refit in full.
         """
         if self._scaler is not None:
-            return
+            return self._scaler
         shards, _ = self._probe_shards()
         blocks = [s.matrix_raw for s in shards if s.matrix_raw is not None]
         self._scaler = StandardScaler().fit(np.vstack(blocks))
@@ -1103,6 +1088,7 @@ class ShardedRetrievalEngine:
                     self._scaler.transform(shard.matrix_raw))
                 shard.gram_cache = GramCache(matrix)
                 shard.matrix = matrix
+        return self._scaler
 
     def _standardized_rows(self, instance_ids: list[int]) -> np.ndarray:
         rows = []
@@ -1123,9 +1109,7 @@ class ShardedRetrievalEngine:
                     raise
                 skipped += 1
                 continue
-            ranked = shard.bag_ranked_ids[bag_id]
-            take = len(ranked) if self._top_m is None else self._top_m
-            ids.extend(ranked[:take])
+            ids.extend(self.rule.select(shard.bag_ranked_ids[bag_id]))
         self._training_bags_skipped = skipped
         if skipped:
             get_telemetry().event(
@@ -1164,11 +1148,9 @@ class ShardedRetrievalEngine:
         relevant = self.relevant_bag_ids
         training_ids = self._training_instance_ids(relevant)
         self._training_ids = list(training_ids)
+        self._round_queries = None
         if not training_ids:
-            self._model = None
-            self._support_ids = []
-            self._support_x = None
-            self._round_kernel = None
+            self.rule.reset()
             return
         self._ensure_standardized()
         x = self._standardized_rows(training_ids)
@@ -1177,48 +1159,31 @@ class ShardedRetrievalEngine:
         # excluded from both numerator and training set, so nu keeps
         # its meaning; with every shard healthy this is len(relevant).
         included = len(relevant) - self._training_bags_skipped
-        nu = 1.0 - (included / len(training_ids) + self.z)
-        nu = float(np.clip(nu, *self.nu_bounds))
-        self.last_nu_ = nu
+        self.last_nu_ = self.rule.fit(x, training_ids, included)
         self.training_size_ = len(training_ids)
-        if self.learner == "svdd":
-            from repro.svm.svdd import SVDD
-
-            model = SVDD(nu=nu, kernel=self.kernel,
-                         gamma=self.gamma).fit(x)
-        else:
-            model = OneClassSVM(nu=nu, kernel=self.kernel,
-                                gamma=self.gamma).fit(x)
-        self._model = model
-        self._round_kernel = model.kernel_
-        assert model.support_ is not None
-        assert model.support_vectors_ is not None
-        self._support_ids = [training_ids[s] for s in model.support_]
-        self._support_x = np.ascontiguousarray(model.support_vectors_)
-        self._support_sq = row_sq_norms(self._support_x)
 
     # -- per-shard scoring -------------------------------------------------
+    def _shard_decisions(self, shard: CorpusShard) -> np.ndarray:
+        """Exact SVM decision values of every instance of one shard."""
+        if shard.matrix is None:
+            return np.empty(0)
+        assert shard.gram_cache is not None
+        rule, cache = self.rule, shard.gram_cache
+        kernel = rule.model.kernel_
+        cache.ensure_vectors(kernel, rule.support_ids, rule.support_x)
+        return rule.decisions(cache.cross(rule.support_ids),
+                              lambda: cache.diag(kernel))
+
     def _full_shard_scores(self, shard: CorpusShard) -> np.ndarray:
         """Exact SVM scores for every bag of one shard (layout order)."""
         scores = np.full(shard.n_bags, -np.inf)
         if shard.matrix is None:
             return scores
-        assert (self._model is not None and shard.gram_cache is not None
-                and self._round_kernel is not None
-                and self._support_x is not None)
-        cache = shard.gram_cache
-        cache.ensure_vectors(self._round_kernel, self._support_ids,
-                             self._support_x)
-        cross = cache.cross(self._support_ids)
-        if self.learner == "svdd":
-            decisions = self._model.decision_function(
-                cross=cross, self_sim=cache.diag(self._round_kernel))
-        else:
-            decisions = self._model.decision_function(cross=cross)
+        decisions = self._shard_decisions(shard)
         non_empty = shard.bag_sizes > 0
         if non_empty.any():
             scores[non_empty] = np.maximum.reduceat(
-                decisions.astype(float), shard.bag_starts[non_empty])
+                decisions, shard.bag_starts[non_empty])
         return scores
 
     def _candidate_shard_scores(self, shard: CorpusShard,
@@ -1228,8 +1193,7 @@ class ShardedRetrievalEngine:
         scores = np.full(len(positions), -np.inf)
         if shard.matrix is None:
             return scores
-        assert (self._model is not None and self._round_kernel is not None
-                and self._support_x is not None)
+        rule = self.rule
         sizes = shard.bag_sizes[positions]
         keep = sizes > 0
         if not keep.any():
@@ -1241,19 +1205,14 @@ class ShardedRetrievalEngine:
         rows = np.arange(int(counts.sum())) + np.repeat(
             shard.bag_starts[positions][keep] - seg_starts, counts)
         sub = shard.matrix[rows]
-        kernel = self._round_kernel
+        kernel = rule.model.kernel_
         if isinstance(kernel, RBFKernel):
-            cross = kernel.compute_blocked(sub, self._support_x,
-                                           b_sq=self._support_sq)
+            cross = kernel.compute_blocked(sub, rule.support_x,
+                                           b_sq=rule.support_sq)
         else:
-            cross = kernel.compute_blocked(sub, self._support_x)
-        if self.learner == "svdd":
-            decisions = self._model.decision_function(
-                cross=cross, self_sim=kernel.diag(sub))
-        else:
-            decisions = self._model.decision_function(cross=cross)
-        scores[keep] = np.maximum.reduceat(
-            decisions.astype(float), seg_starts)
+            cross = kernel.compute_blocked(sub, rule.support_x)
+        decisions = rule.decisions(cross, lambda: kernel.diag(sub))
+        scores[keep] = np.maximum.reduceat(decisions, seg_starts)
         return scores
 
     def _score_shard(self, shard: CorpusShard
@@ -1286,9 +1245,7 @@ class ShardedRetrievalEngine:
             # A shard died or rejoined since the cached round: the
             # cached merge streams cover the wrong shard set.
             self._availability_version = self.corpus.availability_version
-            self._candidate_streams = None
-            self._leftover_streams = None
-            self._round_nominated = None
+            self._drop_round()
         if self._candidate_streams is not None:
             self.last_coverage = self._coverage_report(shards, outages)
             return
@@ -1426,6 +1383,64 @@ class ShardedRetrievalEngine:
         if k <= 0:
             raise ConfigurationError(f"k must be positive, got {k}")
         return list(islice(self.rank_iter(), k))
+
+    # -- per-bag and per-instance views ------------------------------------
+    def _instance_values(self, shard: CorpusShard) -> np.ndarray:
+        """Current relevance of one shard's instances (layout order):
+        the initial scores before any model, decision values after."""
+        if not self.is_trained:
+            return shard.heuristic_instances
+        with shard.lock:
+            return self._shard_decisions(shard)
+
+    def bag_scores(self) -> np.ndarray:
+        """Scores indexed by global bag id (higher = more relevant).
+
+        Every bag of every healthy shard is scored exactly, whatever
+        stage one would nominate; bags of skipped shards and empty bags
+        score ``-inf``.
+        """
+        shards, _ = self._probe_shards()
+        self._sync_corpus()
+        scores = np.full(len(self.corpus), -np.inf)
+        for shard in shards:
+            if self.is_trained:
+                with shard.lock:
+                    values = self._full_shard_scores(shard)
+            else:
+                values = shard.heuristic_bags
+            scores[shard.bag_offset:shard.bag_offset + shard.n_bags] = values
+        return scores
+
+    def instance_relevance(self) -> dict[int, float]:
+        """Current per-instance relevance (global instance id -> score).
+
+        The MIL claim made inspectable: bag-level labels let the engine
+        point at the responsible Trajectory Sequences.
+        """
+        shards, _ = self._probe_shards()
+        self._sync_corpus()
+        out: dict[int, float] = {}
+        for shard in shards:
+            ids = range(shard.instance_offset,
+                        shard.instance_offset + shard.n_instances)
+            out.update(zip(ids, self._instance_values(shard).tolist()))
+        return out
+
+    def explain(self, bag_id: int) -> list[InstanceExplanation]:
+        """Rank the instances of one bag by current relevance.
+
+        One :class:`InstanceExplanation` per Trajectory Sequence, best
+        first — "which vehicles in this Video Sequence made it a hit".
+        """
+        self._probe_shards()
+        self._sync_corpus()
+        shard = self.corpus.shard_for_bag(bag_id)
+        bag = shard.dataset.bags[bag_id - shard.bag_offset]
+        values = self._instance_values(shard)
+        return InstanceExplanation.for_bag(
+            bag, {i.instance_id: values[shard.row_of(i.instance_id)]
+                  for i in bag.instances}, shard.dataset.feature_names)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ShardedRetrievalEngine(shards={len(self.corpus.specs)}, "

@@ -8,10 +8,10 @@ different users' feedback histories stay separate (Section 1's point
 that relevance is user-specific).
 
 Multi-clip queries (:class:`MultiClipQuerySession`) run on the sharded
-corpus by default (see :mod:`repro.core.sharded`): clips stay per-shard
-instead of being merged into one monolithic dataset, and an optional
-heuristic prefilter bounds how many bags per shard the one-class SVM
-scores exactly each round.
+corpus (see :mod:`repro.core.sharded`): clips stay per-shard instead of
+being merged into one monolithic dataset, and an optional heuristic
+prefilter bounds how many bags per shard the one-class SVM scores
+exactly each round.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Callable, Mapping
 
-from repro.core.bags import merge_datasets
 from repro.core.engine import MILRetrievalEngine
 from repro.core.sharded import (
     CoverageReport,
@@ -441,19 +440,19 @@ class MultiClipQuerySession(_QuerySessionBase):
     from different cameras, normalize the tracks before building the
     stored datasets (see :mod:`repro.vision.calibration`).
 
-    By default the corpus stays sharded per clip
+    The corpus stays sharded per clip
     (:class:`~repro.core.sharded.ShardedRetrievalEngine`): shards load
     lazily, each ranking round merges per-shard rankings, and
     ``candidates_per_shard=M`` caps how many bags per shard the
     one-class SVM scores exactly (the rest keep their cheap heuristic
     order after all candidates — a recall/latency knob).  With
-    ``candidates_per_shard=None`` the ranking matches the monolithic
-    merged-dataset path.  ``nominator="ivf"`` switches stage one from
-    the static heuristic prefilter to a probe of each shard's IVF index
-    (``index_cells`` / ``nprobe`` tune it) — sublinear nomination with
-    the same exact rerank.  ``sharded=False``, a non-default engine
-    name, or an explicit engine instance fall back to
-    :func:`~repro.core.bags.merge_datasets`.
+    ``candidates_per_shard=None`` the ranking matches the engine over
+    the :func:`~repro.core.bags.merge_datasets` corpus.
+    ``nominator="ivf"`` switches stage one from the static heuristic
+    prefilter to a probe of each shard's IVF index (``index_cells`` /
+    ``nprobe`` tune it) — sublinear nomination with the same exact
+    rerank.  The engine is always ``"mil_ocsvm"``; Weighted-RF runs on
+    single-clip sessions only.
 
     ``failure_policy`` picks what happens when a member clip's storage
     fails mid-session: ``"strict"`` (default) raises
@@ -471,7 +470,6 @@ class MultiClipQuerySession(_QuerySessionBase):
         clip_ids: list[str],
         event_name: str,
         *,
-        sharded: bool = True,
         candidates_per_shard: int | None = None,
         nominator: str = "heuristic",
         index_cells: int | None = None,
@@ -480,85 +478,52 @@ class MultiClipQuerySession(_QuerySessionBase):
         retry_policy: RetryPolicy | None = None,
         clock=None,
         corpus: ShardedCorpus | None = None,
+        engine="mil_ocsvm",
+        engine_kwargs: dict | None = None,
         **kwargs,
     ) -> None:
         if not clip_ids:
             raise ConfigurationError("need >= 1 clip id")
-        corpus_id = "merged:" + "+".join(clip_ids)
-        self.clip_ids = list(clip_ids)
-        engine = kwargs.get("engine", "mil_ocsvm")
-        use_sharded = sharded and engine == "mil_ocsvm"
-        self._sharded = use_sharded
-        self._db_version = db.metadata_version
-        if failure_policy not in ("strict", "degraded"):
+        if engine != "mil_ocsvm":
             raise ConfigurationError(
-                f"failure_policy must be 'strict' or 'degraded', got "
-                f"{failure_policy!r}")
-        if failure_policy == "degraded" and not use_sharded:
-            raise ConfigurationError(
-                "failure_policy='degraded' requires the sharded "
-                "'mil_ocsvm' path (the shard is the failure domain; a "
-                "merged dataset has none)")
-        self.failure_policy = failure_policy
-        if candidates_per_shard is not None and not use_sharded:
-            raise ConfigurationError(
-                "candidates_per_shard requires the sharded 'mil_ocsvm' "
-                "path (sharded=True and no custom engine)"
-            )
-        if nominator not in ("heuristic", "ivf"):
-            raise ConfigurationError(
-                f"nominator must be 'heuristic' or 'ivf', got {nominator!r}"
-            )
-        if nominator == "ivf" and not use_sharded:
-            raise ConfigurationError(
-                "nominator='ivf' requires the sharded 'mil_ocsvm' path "
-                "(sharded=True and no custom engine)"
-            )
+                f"multi-clip sessions run the 'mil_ocsvm' engine over the "
+                f"sharded corpus, got engine={engine!r}; Weighted-RF runs "
+                f"on single-clip sessions only")
         if (nprobe is not None or index_cells is not None) \
                 and nominator != "ivf":
             raise ConfigurationError(
                 "nprobe/index_cells only apply to the IVF nominator "
                 "(pass nominator='ivf')"
             )
-        if corpus is not None and not use_sharded:
+        corpus_id = "merged:" + "+".join(clip_ids)
+        self.clip_ids = list(clip_ids)
+        self._db_version = db.metadata_version
+        self.failure_policy = failure_policy
+        if corpus is None:
+            corpus = sharded_corpus(db, clip_ids, event_name,
+                                    retry_policy=retry_policy, clock=clock)
+        elif corpus.corpus_id != corpus_id \
+                or corpus.event_name != event_name:
             raise ConfigurationError(
-                "an injected corpus requires the sharded 'mil_ocsvm' "
-                "path (sharded=True and no custom engine)")
-        if use_sharded:
-            if corpus is None:
-                corpus = sharded_corpus(db, clip_ids, event_name,
-                                        retry_policy=retry_policy,
-                                        clock=clock)
-            elif corpus.corpus_id != corpus_id \
-                    or corpus.event_name != event_name:
-                raise ConfigurationError(
-                    f"injected corpus {corpus.corpus_id!r}/"
-                    f"{corpus.event_name!r} does not match this "
-                    f"session's {corpus_id!r}/{event_name!r}")
-            engine_kwargs = kwargs.pop("engine_kwargs", None) or {}
-            if nominator == "ivf":
-                ivf_kwargs = {}
-                if index_cells is not None:
-                    ivf_kwargs["n_cells"] = int(index_cells)
-                if nprobe is not None:
-                    ivf_kwargs["nprobe"] = int(nprobe)
-                engine_kwargs["nominator"] = IVFNominator(**ivf_kwargs)
-            engine_kwargs.setdefault("failure_policy", failure_policy)
-
-            def make_engine(corpus=corpus,
-                            candidates=candidates_per_shard,
-                            engine_kwargs=dict(engine_kwargs)):
-                return ShardedRetrievalEngine(
-                    corpus, candidates_per_shard=candidates,
-                    **engine_kwargs)
-
-            kwargs["engine"] = make_engine()
-            kwargs["engine_factory"] = make_engine
-            super().__init__(db, corpus_id, event_name, corpus, **kwargs)
-        else:
-            datasets = [db.dataset(c, event_name) for c in clip_ids]
-            merged = merge_datasets(datasets, merged_id=corpus_id)
-            super().__init__(db, corpus_id, event_name, merged, **kwargs)
+                f"injected corpus {corpus.corpus_id!r}/"
+                f"{corpus.event_name!r} does not match this "
+                f"session's {corpus_id!r}/{event_name!r}")
+        if nominator == "ivf":
+            ivf_kwargs = {}
+            if index_cells is not None:
+                ivf_kwargs["n_cells"] = int(index_cells)
+            if nprobe is not None:
+                ivf_kwargs["nprobe"] = int(nprobe)
+            nominator = IVFNominator(**ivf_kwargs)
+        engine_kwargs = {"nominator": nominator,
+                         "failure_policy": failure_policy,
+                         **(engine_kwargs or {}),
+                         "candidates_per_shard": candidates_per_shard}
+        super().__init__(
+            db, corpus_id, event_name, corpus,
+            engine_factory=partial(ShardedRetrievalEngine, corpus,
+                                   **engine_kwargs),
+            **kwargs)
 
     def _before_round(self) -> None:
         """Pick up bags a streaming ingest appended since the last round.
@@ -569,8 +534,7 @@ class MultiClipQuerySession(_QuerySessionBase):
         live shard absorbs the delta in place
         (:meth:`~repro.core.sharded.ShardedCorpus.refresh`); the engine
         notices the corpus mutation on its next rank/feed and retrains
-        over the grown corpus.  The merged (non-sharded) path keeps its
-        construction-time snapshot.
+        over the grown corpus.
 
         Under ``failure_policy="degraded"`` a clip whose catalog read or
         delta load fails (busy database, corrupt blob) does not kill the
@@ -579,8 +543,6 @@ class MultiClipQuerySession(_QuerySessionBase):
         advances when *every* clip refreshed cleanly — the failed
         refresh is retried on the next round.
         """
-        if not self._sharded:
-            return
         version = self.db.metadata_version
         if version == self._db_version:
             return
@@ -608,12 +570,12 @@ class MultiClipQuerySession(_QuerySessionBase):
     def last_coverage(self) -> CoverageReport | None:
         """Shard coverage of the most recent ranking round.
 
-        ``None`` for non-sharded sessions and before the first round;
-        otherwise a :class:`~repro.core.sharded.CoverageReport` whose
-        ``degraded`` flag says whether any quarantined shard was skipped
-        (only possible under ``failure_policy="degraded"``).
+        ``None`` before the first round; otherwise a
+        :class:`~repro.core.sharded.CoverageReport` whose ``degraded``
+        flag says whether any quarantined shard was skipped (only
+        possible under ``failure_policy="degraded"``).
         """
-        return getattr(self.engine, "last_coverage", None)
+        return self.engine.last_coverage
 
     def results_with_coverage(
         self, *, vehicle_class: str | None = None,

@@ -29,8 +29,7 @@ from urllib.parse import parse_qs
 
 from repro.core.sharded import CorpusPool
 from repro.db.database import ThreadLocalVideoDatabase
-from repro.db.query import ENGINE_FACTORIES, MultiClipQuerySession, \
-    sharded_corpus
+from repro.db.query import MultiClipQuerySession, sharded_corpus
 from repro.db.schema import SessionRecord
 from repro.errors import (
     ConfigurationError,
@@ -53,6 +52,8 @@ _ALLOWED_PARAMS = frozenset({
     "candidates_per_shard", "nominator", "index_cells", "nprobe",
     "failure_policy",
 })
+#: The ``params`` that must be JSON integers (or null) when present.
+_INT_PARAMS = ("candidates_per_shard", "index_cells", "nprobe")
 
 
 class _HTTPError(ReproError):
@@ -78,6 +79,24 @@ class _SessionEntry:
 def _json_body(status: int, doc: dict) -> tuple[int, str, bytes]:
     body = json.dumps(doc, sort_keys=True).encode("utf-8")
     return status, _JSON, body
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer (booleans are not), else 400."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _HTTPError(400, f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _query_int(params: dict, name: str) -> int | None:
+    """The integer query parameter ``name`` (``None`` if absent), or 400."""
+    if name not in params:
+        return None
+    try:
+        return int(params[name])
+    except ValueError:
+        raise _HTTPError(400, f"{name} must be an integer, got "
+                              f"{params[name]!r}") from None
 
 
 class RetrievalService:
@@ -274,10 +293,7 @@ class RetrievalService:
                 400, "'clips' must be a non-empty list of clip ids")
         event = str(payload.get("event", "accident"))
         engine = str(payload.get("engine", "mil_ocsvm"))
-        if engine not in ENGINE_FACTORIES:
-            raise _HTTPError(
-                400, f"unknown engine {engine!r}; available: "
-                     f"{sorted(ENGINE_FACTORIES)}")
+        top_k = _json_int(payload.get("top_k", self.default_top_k), "top_k")
         extra = payload.get("params", {})
         if not isinstance(extra, dict):
             raise _HTTPError(400, "'params' must be a JSON object")
@@ -286,12 +302,14 @@ class RetrievalService:
             raise _HTTPError(
                 400, f"unknown session params {unknown}; allowed: "
                      f"{sorted(_ALLOWED_PARAMS)}")
+        for name in _INT_PARAMS:
+            if extra.get(name) is not None:
+                _json_int(extra[name], f"params.{name}")
         corpus_id = "merged:" + "+".join(clips)
         record = SessionRecord(
             session_id=f"{user}:{corpus_id}:{event}", user_id=user,
             corpus_id=corpus_id, event_name=event,
-            clip_ids=tuple(clips), engine=engine,
-            top_k=int(payload.get("top_k", self.default_top_k)),
+            clip_ids=tuple(clips), engine=engine, top_k=top_k,
             params=dict(extra))
         entry, created = self._materialize(record)
         with entry.lock:
@@ -313,9 +331,13 @@ class RetrievalService:
             raise _HTTPError(
                 400, "'labels' must be a non-empty object of "
                      "bag_id -> relevant")
+        bad = {k: v for k, v in raw.items() if not isinstance(v, bool)}
+        if bad:
+            raise _HTTPError(
+                400, f"label values must be JSON booleans, got {bad}")
         try:
-            labels = {int(k): bool(v) for k, v in raw.items()}
-        except (TypeError, ValueError) as exc:
+            labels = {int(k): v for k, v in raw.items()}
+        except ValueError as exc:
             raise _HTTPError(400, f"bad label key: {exc}") from exc
         entry = self._resolve(sid)
         with entry.lock:
@@ -332,9 +354,9 @@ class RetrievalService:
                                     "round": session.round_index})
 
     def _results(self, sid: str, params: dict) -> tuple[int, str, bytes]:
+        top_k = _query_int(params, "top_k")
         entry = self._resolve(sid)
         vehicle_class = params.get("vehicle_class")
-        top_k = int(params["top_k"]) if "top_k" in params else None
         with entry.lock:
             session = entry.session
             previous = session.top_k
@@ -363,10 +385,9 @@ class RetrievalService:
             return _json_body(200, doc)
 
     def _explain(self, sid: str, params: dict) -> tuple[int, str, bytes]:
+        round_index = _query_int(params, "round")
         entry = self._resolve(sid)
         with entry.lock:
-            round_index = (int(params["round"])
-                           if "round" in params else None)
             rows = self.db.query_rounds(session_id=sid,
                                         round_index=round_index)
         include_spans = params.get("spans") in ("1", "true")
@@ -465,22 +486,17 @@ class RetrievalService:
 
     def _build_session(self, record: SessionRecord,
                        entry: _SessionEntry) -> MultiClipQuerySession:
-        kwargs = dict(record.params)
-        corpus_key = None
-        if record.engine == "mil_ocsvm":
-            corpus_key = f"{record.corpus_id}::{record.event_name}"
-            clip_ids, event = list(record.clip_ids), record.event_name
-            kwargs["corpus"] = self.pool.acquire(
-                corpus_key,
-                lambda: sharded_corpus(self.db, clip_ids, event))
+        corpus_key = f"{record.corpus_id}::{record.event_name}"
+        clip_ids, event = list(record.clip_ids), record.event_name
+        corpus = self.pool.acquire(
+            corpus_key, lambda: sharded_corpus(self.db, clip_ids, event))
         try:
             session = MultiClipQuerySession(
-                self.db, list(record.clip_ids), record.event_name,
-                user_id=record.user_id, engine=record.engine,
-                top_k=record.top_k, ledger=self.ledger, **kwargs)
+                self.db, clip_ids, event, user_id=record.user_id,
+                engine=record.engine, top_k=record.top_k,
+                ledger=self.ledger, corpus=corpus, **record.params)
         except BaseException:
-            if corpus_key is not None:
-                self.pool.release(corpus_key)
+            self.pool.release(corpus_key)
             raise
         entry.corpus_key = corpus_key
         return session

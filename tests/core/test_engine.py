@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 
 from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
-from repro.core.engine import _parse_policy
+from repro.core.rule import parse_policy
 from repro.errors import ConfigurationError
 from tests.core.conftest import make_toy
 
 
 class TestPolicyParsing:
     def test_all(self):
-        assert _parse_policy("all") is None
+        assert parse_policy("all") is None
 
     @pytest.mark.parametrize("policy,m", [("top1", 1), ("top2", 2),
                                           ("top10", 10)])
     def test_top_m(self, policy, m):
-        assert _parse_policy(policy) == m
+        assert parse_policy(policy) == m
 
     @pytest.mark.parametrize("policy", ["top0", "top-1", "best", "topx"])
     def test_invalid(self, policy):
         with pytest.raises(ConfigurationError):
-            _parse_policy(policy)
+            parse_policy(policy)
 
 
 class TestInitialRanking:
@@ -134,6 +134,39 @@ class TestLearningBehaviour:
                         feature_names=("a",), window_size=3, sampling_rate=5)
         with pytest.raises(ConfigurationError, match="no bags"):
             MILRetrievalEngine(ds)
+
+    def test_non_positional_ids_rejected(self, toy):
+        from repro.core.bags import Bag, Instance, MILDataset
+
+        ds, _ = toy
+
+        def renumbered(bag_shift=0, inst_shift=0):
+            bags = [
+                Bag(bag_id=b.bag_id + bag_shift, clip_id=b.clip_id,
+                    frame_lo=b.frame_lo, frame_hi=b.frame_hi,
+                    instances=tuple(
+                        Instance(instance_id=i.instance_id + inst_shift,
+                                 bag_id=b.bag_id + bag_shift,
+                                 track_id=i.track_id, matrix=i.matrix)
+                        for i in b.instances))
+                for b in ds.bags
+            ]
+            return MILDataset(
+                clip_id=ds.clip_id, event_name=ds.event_name,
+                feature_names=ds.feature_names,
+                window_size=ds.window_size,
+                sampling_rate=ds.sampling_rate, bags=bags)
+
+        for bad in (renumbered(bag_shift=1), renumbered(inst_shift=7)):
+            with pytest.raises(ConfigurationError,
+                               match="not positionally numbered"):
+                MILRetrievalEngine(bad)
+        swapped = renumbered()
+        swapped.bags[0], swapped.bags[1] = swapped.bags[1], swapped.bags[0]
+        with pytest.raises(ConfigurationError,
+                           match="not positionally numbered"):
+            MILRetrievalEngine(swapped)
+        assert MILRetrievalEngine(renumbered()).rank()
 
     def test_deterministic(self, toy):
         ds, gt = toy

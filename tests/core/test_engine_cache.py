@@ -1,14 +1,17 @@
-"""Cached vs uncached engine equivalence.
+"""Cached engine scores vs the reference learner.
 
-The GramCache is a pure reuse layer: for every kernel family and both
-learners, ``use_cache=True`` must reproduce the ``use_cache=False``
-scores to floating point tolerance across multiple feedback rounds —
-including nu, rankings and explanations."""
+The per-shard GramCache is a pure reuse layer: for every kernel family
+and both learners, the engine's scores must match the reference
+``OneClassSVM`` / ``SVDD`` ``decision_function`` on the full
+standardized matrix to floating point tolerance, across multiple
+feedback rounds — including nu, rankings and explanations."""
 
 import numpy as np
 import pytest
 
 from repro.core import MILRetrievalEngine
+from repro.core.heuristics import heuristic_scores
+from repro.svm import SVDD, OneClassSVM, StandardScaler
 from tests.core.conftest import make_toy
 
 
@@ -26,27 +29,54 @@ def _rounds(dataset, relevant, n_rounds=3, per_round=14):
     ]
 
 
+def _reference_scores(engine, dataset, *, kernel="rbf", gamma="auto",
+                      learner="ocsvm"):
+    """Instance scores of a learner fitted from scratch by the paper's
+    rule (policy "all", Eq. 9 nu), evaluated on the whole standardized
+    matrix.  Also checks the engine's nu."""
+    _, heuristic = heuristic_scores(dataset)
+    train = [
+        inst.instance_id
+        for b in engine.relevant_bag_ids
+        for inst in sorted(dataset.bag_by_id(b).instances,
+                           key=lambda i: heuristic[i.instance_id],
+                           reverse=True)
+    ]
+    h = len(engine.relevant_bag_ids)
+    nu = float(np.clip(1 - (h / len(train) + 0.05), 0.05, 0.95))
+    assert engine.training_size_ == len(train)
+    assert engine.last_nu_ == pytest.approx(nu)
+    matrix = dataset.instance_matrix()
+    x = StandardScaler().fit(matrix).transform(matrix)
+    cls = SVDD if learner == "svdd" else OneClassSVM
+    model = cls(nu=nu, kernel=kernel, gamma=gamma).fit(x[train])
+    return model.decision_function(x)
+
+
 @pytest.mark.parametrize("kernel", ["rbf", "linear", "poly"])
 @pytest.mark.parametrize("learner", ["ocsvm", "svdd"])
 def test_cached_matches_uncached(kernel, learner):
     dataset, gt = make_toy(instances_per_bag=3, seed=2)
     relevant = _relevant_ids(dataset, gt)
-    engines = [
-        MILRetrievalEngine(dataset, kernel=kernel, learner=learner,
-                           training_policy="all", use_cache=use_cache)
-        for use_cache in (True, False)
-    ]
+    engine = MILRetrievalEngine(dataset, kernel=kernel, learner=learner,
+                                training_policy="all")
     for batch in _rounds(dataset, relevant):
-        for engine in engines:
-            engine.feed(batch)
-        cached, plain = engines
-        assert cached.last_nu_ == pytest.approx(plain.last_nu_)
-        sc, sp = cached._instance_scores(), plain._instance_scores()
-        assert sc.keys() == sp.keys()
-        assert max(abs(sc[i] - sp[i]) for i in sc) < 1e-8
-        np.testing.assert_allclose(cached.bag_scores(), plain.bag_scores(),
+        engine.feed(batch)
+        reference = _reference_scores(engine, dataset, kernel=kernel,
+                                      learner=learner)
+        scores = engine.instance_relevance()
+        ids = [i.instance_id for i in dataset.all_instances()]
+        assert sorted(scores) == sorted(ids)
+        np.testing.assert_allclose([scores[i] for i in ids], reference,
                                    atol=1e-8)
-        assert cached.rank() == plain.rank()
+        bag_reference = [max((reference[i.instance_id]
+                              for i in b.instances), default=-np.inf)
+                         for b in dataset.bags]
+        np.testing.assert_allclose(engine.bag_scores(), bag_reference,
+                                   atol=1e-8)
+        for e in engine.explain(engine.top_k(1)[0]):
+            assert e.score == pytest.approx(reference[e.instance_id],
+                                            abs=1e-8)
 
 
 def test_cache_reuses_columns_across_rounds():
@@ -55,12 +85,18 @@ def test_cache_reuses_columns_across_rounds():
     engine = MILRetrievalEngine(dataset, training_policy="all")
     batches = _rounds(dataset, relevant, n_rounds=2, per_round=16)
     engine.feed(batches[0])
-    misses_after_cold = engine._gram_cache.misses
-    assert engine._gram_cache.hits == 0
+    engine.rank()
+    cache = engine.shard.gram_cache
+    misses_after_cold = cache.misses
+    assert cache.hits == 0
+    support_before = set(engine.rule.support_ids)
     engine.feed(batches[1])
-    # Warm round: only newly labelled instances cost kernel columns.
-    assert engine._gram_cache.hits == misses_after_cold
-    assert engine._gram_cache.misses > misses_after_cold
+    engine.rank()
+    # Warm round: only support vectors not seen before cost columns.
+    support_after = engine.rule.support_ids
+    reused = len(support_before & set(support_after))
+    assert cache.hits == reused > 0
+    assert cache.misses == misses_after_cold + len(support_after) - reused
 
 
 def test_gamma_scale_invalidates_per_round():
@@ -68,41 +104,28 @@ def test_gamma_scale_invalidates_per_round():
     must not reuse columns across differing gamma values."""
     dataset, gt = make_toy(instances_per_bag=2, seed=4)
     relevant = _relevant_ids(dataset, gt)
-    engines = [
-        MILRetrievalEngine(dataset, gamma="scale", training_policy="all",
-                           use_cache=use_cache)
-        for use_cache in (True, False)
-    ]
+    engine = MILRetrievalEngine(dataset, gamma="scale",
+                                training_policy="all")
     for batch in _rounds(dataset, relevant, n_rounds=2, per_round=16):
-        for engine in engines:
-            engine.feed(batch)
-        cached, plain = engines
-        sc, sp = cached._instance_scores(), plain._instance_scores()
-        assert max(abs(sc[i] - sp[i]) for i in sc) < 1e-8
+        engine.feed(batch)
+        scores = engine.instance_relevance()
+        reference = _reference_scores(engine, dataset, gamma="scale")
+        assert max(abs(scores[i] - reference[i]) for i in scores) < 1e-8
 
 
 def test_warm_start_composes_with_cache():
     dataset, gt = make_toy(instances_per_bag=2, seed=5)
     relevant = _relevant_ids(dataset, gt)
-    warm = MILRetrievalEngine(dataset, warm_start=True, use_cache=True,
+    warm = MILRetrievalEngine(dataset, warm_start=True,
                               training_policy="all")
-    plain = MILRetrievalEngine(dataset, use_cache=False,
-                               training_policy="all")
+    plain = MILRetrievalEngine(dataset, training_policy="all")
     for batch in _rounds(dataset, relevant):
         warm.feed(batch)
         plain.feed(batch)
     # Warm start reaches the same optimum within *solver* tolerance
     # (looser than the cache's exactness), so compare at that scale.
-    sw, sp = warm._instance_scores(), plain._instance_scores()
+    sw, sp = warm.instance_relevance(), plain.instance_relevance()
     assert max(abs(sw[i] - sp[i]) for i in sw) < 1e-3
     # Near-ties can swap adjacent ranks at solver tolerance; the
     # retrieval outcome (the top-k set) must agree regardless.
     assert set(warm.top_k(10)) == set(plain.top_k(10))
-
-
-def test_use_cache_false_has_no_cache():
-    dataset, _ = make_toy()
-    engine = MILRetrievalEngine(dataset, use_cache=False)
-    assert engine._gram_cache is None
-    engine.feed({0: True, 1: False})
-    assert engine.is_trained

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MultiClipOracle
+from repro.core import MILRetrievalEngine, MultiClipOracle, merge_datasets
 from repro.db import MultiClipQuerySession, VideoDatabase
 from repro.db.schema import ClipRecord
 from repro.errors import ConfigurationError
@@ -97,24 +97,24 @@ class TestMultiClipQuerySession:
 class TestShardedSession:
     def test_sharded_matches_merged_over_oracle_protocol(
             self, two_clip_db, small_tunnel, small_intersection):
-        """The sharded default must reproduce the merged-dataset path's
-        results on every round of an oracle feedback protocol."""
+        """The sharded session must reproduce the engine over the merged
+        dataset on every round of an oracle feedback protocol."""
         db, truths = two_clip_db
         clip_ids = [small_tunnel.name, small_intersection.name]
         sharded = MultiClipQuerySession(db, clip_ids, "accident",
                                         user_id="s", top_k=10)
-        merged = MultiClipQuerySession(db, clip_ids, "accident",
-                                       user_id="m", top_k=10,
-                                       sharded=False)
+        merged = MILRetrievalEngine(merge_datasets(
+            [db.dataset(c, "accident") for c in clip_ids],
+            merged_id=sharded.corpus_id))
         oracle = MultiClipOracle(truths)
         for _ in range(4):
             results = sharded.results()
-            assert merged.results() == results
+            assert merged.top_k(10) == results
             labels = oracle.label_bags(
                 [sharded.dataset.bag_by_id(b) for b in results])
             sharded.feed(labels)
             merged.feed(labels)
-        assert merged.results() == sharded.results()
+        assert merged.top_k(10) == sharded.results()
 
     def test_shards_load_lazily_behind_session(self, two_clip_db,
                                                small_tunnel,
@@ -142,20 +142,6 @@ class TestShardedSession:
         assert sorted(session.engine.rank()) == \
             list(range(len(session.dataset)))
 
-    def test_candidates_per_shard_needs_sharded_path(
-            self, two_clip_db, small_tunnel, small_intersection):
-        db, _ = two_clip_db
-        clip_ids = [small_tunnel.name, small_intersection.name]
-        with pytest.raises(ConfigurationError,
-                           match="candidates_per_shard"):
-            MultiClipQuerySession(db, clip_ids, "accident",
-                                  candidates_per_shard=2, sharded=False)
-        with pytest.raises(ConfigurationError,
-                           match="candidates_per_shard"):
-            MultiClipQuerySession(db, clip_ids, "accident",
-                                  candidates_per_shard=2,
-                                  engine="weighted_rf")
-
     def test_ivf_session_runs_feedback(self, two_clip_db, small_tunnel,
                                        small_intersection):
         db, truths = two_clip_db
@@ -178,26 +164,22 @@ class TestShardedSession:
                                  small_intersection):
         db, _ = two_clip_db
         clip_ids = [small_tunnel.name, small_intersection.name]
-        with pytest.raises(ConfigurationError, match="nominator='ivf'"):
-            MultiClipQuerySession(db, clip_ids, "accident",
-                                  nominator="ivf", sharded=False)
-        with pytest.raises(ConfigurationError, match="nominator='ivf'"):
-            MultiClipQuerySession(db, clip_ids, "accident",
-                                  nominator="ivf", engine="weighted_rf")
         with pytest.raises(ConfigurationError, match="nprobe/index_cells"):
             MultiClipQuerySession(db, clip_ids, "accident", nprobe=4)
         with pytest.raises(ConfigurationError, match="nominator must be"):
             MultiClipQuerySession(db, clip_ids, "accident",
                                   nominator="faiss")
 
-    def test_merged_fallback_engine_registry(self, two_clip_db,
-                                             small_tunnel,
-                                             small_intersection):
+    def test_weighted_rf_engine_rejected(self, two_clip_db, small_tunnel,
+                                         small_intersection):
         db, _ = two_clip_db
-        session = MultiClipQuerySession(
-            db, [small_tunnel.name, small_intersection.name], "accident",
-            engine="weighted_rf", top_k=5)
-        assert session.results()
+        clip_ids = [small_tunnel.name, small_intersection.name]
+        for extra in ({}, {"nominator": "ivf"},
+                      {"candidates_per_shard": 2}):
+            with pytest.raises(ConfigurationError,
+                               match="single-clip sessions only"):
+                MultiClipQuerySession(db, clip_ids, "accident",
+                                      engine="weighted_rf", **extra)
 
     def test_incompatible_datasets_rejected(self, two_clip_db,
                                             small_tunnel,

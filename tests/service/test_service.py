@@ -154,6 +154,55 @@ class TestSessionLifecycle:
                      f"/sessions/{sid}/results?top_k=0")[0] == 400
 
 
+#: Malformed inputs, each answered 400 before anything is stored:
+#: (case id, method, target with {sid} for the session, JSON body).
+_MALFORMED = [
+    ("create-top_k-text", "POST", "/sessions", {"top_k": "abc"}),
+    ("create-top_k-null", "POST", "/sessions", {"top_k": None}),
+    ("create-candidates-text", "POST", "/sessions",
+     {"params": {"candidates_per_shard": "x"}}),
+    ("create-nprobe-text", "POST", "/sessions",
+     {"params": {"nominator": "ivf", "nprobe": "x"}}),
+    ("create-weighted-rf", "POST", "/sessions", {"engine": "weighted_rf"}),
+    ("results-top_k-text", "GET", "/sessions/{sid}/results?top_k=abc",
+     None),
+    ("explain-round-text", "GET", "/sessions/{sid}/explain?round=x", None),
+    ("feed-label-string", "POST", "/sessions/{sid}/feed",
+     {"labels": {"{bag}": "false"}}),
+    ("feed-label-null", "POST", "/sessions/{sid}/feed",
+     {"labels": {"{bag}": None}}),
+    ("feed-label-int", "POST", "/sessions/{sid}/feed",
+     {"labels": {"{bag}": 2}}),
+]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case,method,target,doc", _MALFORMED,
+                             ids=[c[0] for c in _MALFORMED])
+    def test_rejected_with_400_and_nothing_stored(
+            self, service, service_db, case, method, target, doc):
+        _, clips = service_db
+        sid = _create(service, clips, user="olga")[1]["session"]
+        corpus_id = "merged:" + "+".join(clips)
+        bag = _call(service, "GET",
+                    f"/sessions/{sid}/results")[1]["results"][0]["bag_id"]
+        if doc is not None and "labels" in doc:
+            doc = {"labels": {str(bag): v for v in doc["labels"].values()}}
+        elif method == "POST":
+            doc = {"user": "mallory", "clips": clips, **doc}
+        db = service.db
+
+        def stored():
+            return (len(db.labels(corpus_id, "accident")),
+                    len(db.session_records()), len(db.query_rounds()))
+
+        before = stored()
+        status, reply = _call(service, method, target.format(sid=sid), doc)
+        assert status == 400, reply
+        assert reply["error"] == "bad_request"
+        assert stored() == before
+
+
 class TestCorpusSharing:
     def test_same_corpus_shared_across_users(self, service, service_db):
         _, clips = service_db

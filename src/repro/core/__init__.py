@@ -17,7 +17,7 @@
 from repro.core.bags import Bag, Instance, MILDataset, merge_datasets
 from repro.core.base import InstanceExplanation, RetrievalEngine
 from repro.core.active import ActiveRetrievalSession
-from repro.core.heuristics import heuristic_scores, normalize_features
+from repro.core.heuristics import heuristic_scores
 from repro.core.engine import MILRetrievalEngine
 from repro.core.weighted_rf import WeightedRFEngine
 from repro.core.feedback import MultiClipOracle, OracleUser, RetrievalSession
@@ -44,7 +44,6 @@ __all__ = [
     "merge_datasets",
     "MultiClipOracle",
     "heuristic_scores",
-    "normalize_features",
     "MILRetrievalEngine",
     "WeightedRFEngine",
     "OracleUser",

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from repro.core.bags import MILDataset
-from repro.core.heuristics import heuristic_scores, instance_feature_matrices
+from repro.core.heuristics import heuristic_scores
 from repro.errors import ConfigurationError
 
 __all__ = ["RetrievalEngine", "InstanceExplanation"]
@@ -64,16 +64,9 @@ class InstanceExplanation:
 
 
 class RetrievalEngine(ABC):
-    """Base class: label bookkeeping, heuristic fallback, bag ranking.
+    """Base class: label bookkeeping, heuristic fallback, bag ranking."""
 
-    ``normalize_heuristic_features`` switches the square-sum scores (the
-    shared Initial round, and the weighted-RF baseline) from the paper's
-    raw features to dataset min-max-normalized ones; kept as an ablation
-    knob.
-    """
-
-    def __init__(self, dataset: MILDataset, *,
-                 normalize_heuristic_features: bool = False) -> None:
+    def __init__(self, dataset: MILDataset) -> None:
         if not dataset.bags:
             raise ConfigurationError("dataset has no bags to rank")
         if dataset.n_instances == 0:
@@ -83,10 +76,8 @@ class RetrievalEngine(ABC):
             )
         self.dataset = dataset
         self.labels: dict[int, bool] = {}
-        self._matrices = instance_feature_matrices(
-            dataset, normalize=normalize_heuristic_features)
         self._heuristic_bag_scores, self._heuristic_instance_scores = (
-            heuristic_scores(dataset, matrices=self._matrices)
+            heuristic_scores(dataset)
         )
         # Bag layout for the vectorized instance-max reduction: instances
         # are stored bag-contiguously, so each bag is one reduceat segment.

@@ -9,8 +9,7 @@ between two vehicles are indications of possible accidents").
 
 The paper scores *raw* features (only the baseline's weights are ever
 normalized), which is part of why its Initial round sits at a modest 40%;
-we follow that by default and expose min-max normalization as an option
-(used by ablations).
+we follow that.
 """
 
 from __future__ import annotations
@@ -18,46 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.bags import MILDataset
-from repro.errors import ConfigurationError
-from repro.svm.scaling import MinMaxScaler
 
-__all__ = [
-    "instance_feature_matrices",
-    "normalize_features",
-    "heuristic_scores",
-    "instance_point_scores",
-]
-
-
-def instance_feature_matrices(
-    dataset: MILDataset, *, normalize: bool = False
-) -> dict[int, np.ndarray]:
-    """Per-instance (window, n_features) matrices, raw or min-max scaled."""
-    if normalize:
-        return normalize_features(dataset)[0]
-    return {
-        inst.instance_id: inst.matrix for inst in dataset.all_instances()
-    }
-
-
-def normalize_features(
-    dataset: MILDataset,
-) -> tuple[dict[int, np.ndarray], MinMaxScaler]:
-    """Min-max normalize per-checkpoint features across the dataset.
-
-    Returns ``(matrices, scaler)`` where ``matrices[instance_id]`` is the
-    normalized (window, n_features) matrix of that instance.
-    """
-    instances = dataset.all_instances()
-    if not instances:
-        return {}, MinMaxScaler()
-    rows = np.vstack([inst.matrix for inst in instances])
-    scaler = MinMaxScaler().fit(rows)
-    matrices = {
-        inst.instance_id: scaler.transform(inst.matrix)
-        for inst in instances
-    }
-    return matrices, scaler
+__all__ = ["heuristic_scores", "instance_point_scores"]
 
 
 def instance_point_scores(matrix: np.ndarray,
@@ -71,36 +32,17 @@ def instance_point_scores(matrix: np.ndarray,
 
 def heuristic_scores(
     dataset: MILDataset,
-    *,
-    matrices: dict[int, np.ndarray] | None = None,
-    weights: np.ndarray | None = None,
-    normalize: bool = False,
 ) -> tuple[np.ndarray, dict[int, float]]:
     """Initial scores: S_v = max_T S_T, S_T = max_i S_alpha_i.
 
     Returns ``(bag_scores, instance_scores)`` with ``bag_scores`` aligned
     to ``dataset.bags`` (empty bags score ``-inf``).
-
-    ``matrices`` and ``normalize`` are mutually exclusive: precomputed
-    matrices are scored as given, so a ``normalize=True`` alongside them
-    would be silently ignored — callers believing they ranked normalized
-    features when they didn't.  That combination raises instead.
     """
-    if matrices is not None and normalize:
-        raise ConfigurationError(
-            "heuristic_scores: pass precomputed matrices or "
-            "normalize=True, not both — explicit matrices are scored "
-            "as given and cannot be normalized here"
-        )
-    if matrices is None:
-        matrices = instance_feature_matrices(dataset, normalize=normalize)
     instance_scores: dict[int, float] = {}
     bag_scores = np.full(len(dataset.bags), -np.inf)
     for b, bag in enumerate(dataset.bags):
         for inst in bag.instances:
-            points = instance_point_scores(matrices[inst.instance_id],
-                                           weights)
-            score = float(points.max())
+            score = float(instance_point_scores(inst.matrix).max())
             instance_scores[inst.instance_id] = score
             bag_scores[b] = max(bag_scores[b], score)
     return bag_scores, instance_scores

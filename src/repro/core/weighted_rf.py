@@ -2,7 +2,7 @@
 
 "The proposed framework is compared with the traditional weighted
 relevance feedback method": the relevance score is a weighted square sum
-of the (min-max normalized) features; after each round the weight of
+of the raw features; after each round the weight of
 feature ``f`` becomes the inverse of its standard deviation over the
 feature vectors of all relevant Trajectory Sequences, and the weights are
 re-normalized.  The paper tried three normalizations — none, linear to
@@ -55,12 +55,8 @@ class WeightedRFEngine(RetrievalEngine):
     """Query re-weighting RF: w_f = 1/std_f over relevant feature rows."""
 
     def __init__(self, dataset: MILDataset, *,
-                 normalization: str = "percentage",
-                 normalize_heuristic_features: bool = False) -> None:
-        super().__init__(
-            dataset,
-            normalize_heuristic_features=normalize_heuristic_features,
-        )
+                 normalization: str = "percentage") -> None:
+        super().__init__(dataset)
         if normalization not in _NORMALIZATIONS:
             raise ConfigurationError(
                 f"unknown normalization {normalization!r}; expected one of "
@@ -73,7 +69,7 @@ class WeightedRFEngine(RetrievalEngine):
 
     def _retrain(self) -> None:
         rows = [
-            self._matrices[inst.instance_id]
+            inst.matrix
             for bag_id in self.relevant_bag_ids
             for inst in self.dataset.bag_by_id(bag_id).instances
         ]
@@ -87,7 +83,6 @@ class WeightedRFEngine(RetrievalEngine):
     def _instance_scores(self) -> dict[int, float]:
         scores: dict[int, float] = {}
         for inst in self.dataset.all_instances():
-            points = instance_point_scores(
-                self._matrices[inst.instance_id], self.weights_)
+            points = instance_point_scores(inst.matrix, self.weights_)
             scores[inst.instance_id] = float(points.max())
         return scores

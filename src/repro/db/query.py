@@ -162,6 +162,9 @@ class _QuerySessionBase:
         #: :meth:`resync` replays the stored history into.  ``None``
         #: for externally-owned engine instances.
         self._engine_factory = engine_factory
+        #: Set when a label write failed after the engine took the
+        #: labels; the next round resyncs before it ranks.
+        self._stale = False
         # Resume: replay this user's stored feedback into the engine.
         self.round_index = self._replay_stored(self.engine)
 
@@ -200,7 +203,14 @@ class _QuerySessionBase:
             engine = self._engine_factory()
             self.round_index = self._replay_stored(engine)
             self.engine = engine
+            self._stale = False
             return self.round_index
+
+    def _start_round(self) -> None:
+        """Resync after a failed label write, then run the round hook."""
+        if self._stale:
+            self.resync()
+        self._before_round()
 
     def _before_round(self) -> None:
         """Hook called before every ranking read and feedback round.
@@ -349,7 +359,7 @@ class _QuerySessionBase:
         have their metadata fetched.
         """
         with self._round_lock, self._observed_round("results"):
-            self._before_round()
+            self._start_round()
             if vehicle_class is None:
                 return self.engine.top_k(self.top_k)
             out: list[int] = []
@@ -387,13 +397,19 @@ class _QuerySessionBase:
         first, :class:`~repro.errors.SessionConflictError` propagates —
         but only after this session has :meth:`resync`'d onto the
         winning history, so the caller may simply re-apply the user's
-        labels against the refreshed ranking.
+        labels against the refreshed ranking.  Any other failed write
+        (e.g. a busy catalog) marks the session stale: its next round
+        resyncs from the stored history before ranking, so the engine
+        never keeps labels the catalog did not store.
         """
         if not labels:
             raise ConfigurationError("feedback round must label >= 1 bag")
         with self._round_lock, self._observed_round("feed"):
-            self._before_round()
+            self._start_round()
             self.engine.feed(labels)
+            # Stale until the write commits: the engine holds these
+            # labels, the catalog may not.
+            self._stale = True
             try:
                 self.db.add_labels([
                     LabelRecord(clip_id=self.corpus_id,
@@ -408,6 +424,7 @@ class _QuerySessionBase:
                 if self._engine_factory is not None:
                     self.resync()
                 raise
+            self._stale = False
             self.round_index += 1
 
 

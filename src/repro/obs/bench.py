@@ -1,8 +1,8 @@
-"""One schema for every ``BENCH_*.json`` file at the repo root.
+"""The ``repro-bench-v1`` schema of ``BENCH_obs.json``.
 
-Benchmarks record their numbers as telemetry gauges/counters and merge
-them here, so ``BENCH_pipeline.json``, ``BENCH_obs.json`` (and future
-perf PRs) all serialize identically::
+The telemetry overhead benchmark (``benchmarks/test_perf_obs.py``)
+records its numbers as telemetry gauges/counters and merges them here,
+one section per measurement::
 
     {
       "<section>": {
@@ -15,7 +15,9 @@ perf PRs) all serialize identically::
 
 ``metrics`` is a flat name->number map — histograms contribute
 ``<name>.count`` / ``<name>.sum`` / ``<name>.mean`` entries — because
-benchmark diffs should be greppable without a parser.
+benchmark diffs should be greppable without a parser.  Speed is
+measured end to end by ``perfbench/``, which does not write through
+this module.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from repro.svm.kernels import (
     resolve_kernel,
 )
 from repro.svm.gram_cache import GramCache
-from repro.svm.scaling import MinMaxScaler, StandardScaler
+from repro.svm.scaling import StandardScaler
 from repro.svm.smo import SMOResult, project_feasible, solve_one_class_smo
 from repro.svm.one_class import OneClassSVM
 from repro.svm.svdd import SVDD
@@ -30,7 +30,6 @@ __all__ = [
     "RBFKernel",
     "resolve_kernel",
     "GramCache",
-    "MinMaxScaler",
     "StandardScaler",
     "SMOResult",
     "project_feasible",

@@ -1,21 +1,18 @@
 """Cross-kernel column cache for the relevance-feedback hot path.
 
-Every feedback round the MIL engine (a) fits a one-class learner on the
-training instances and (b) scores the *whole* database against the
-fitted model.  Both steps only ever need kernel values between rows of
-one fixed matrix — the standardized database — because the training
-instances are themselves database rows.  :class:`GramCache` exploits
-that: it holds the database matrix once, keeps its per-row squared
-norms, and caches the full database column ``K(X, x_i)`` for every
-training instance ``i`` it has seen.
+Every feedback round the retrieval engine fits a one-class learner on
+the training instances and then scores the *whole* database against the
+fitted model.  The scoring pass only needs kernel values between the
+rows of one fixed matrix — a shard's standardized database — and the
+support vectors.  :class:`GramCache` holds that matrix once, keeps its
+per-row squared norms, and caches the full database column
+``K(X, v)`` for every support vector ``v`` it has been asked for.
 
 Across rounds the training set mostly *grows* (labels accumulate, see
 ``RetrievalEngine.feed``), so a warm round computes kernel columns only
-for the newly labelled instances; the training Gram block and the
-scoring cross-Gram block are then pure gathers:
+for newly seen support vectors; the scoring block is then a pure gather:
 
-* training Gram  ``K(train, train) = columns[train_rows, :]``
-* scoring block  ``K(X, support)   = columns[:, support_positions]``
+* scoring block  ``K(X, support) = columns[:, support_ids]``
 
 Cached columns are keyed by ``(instance_id, kernel.params_key())``:
 changing the kernel family or any parameter (e.g. a data-dependent
@@ -84,48 +81,16 @@ class GramCache:
             self._diag = None
             self._params = key
 
-    def _kernel_columns(self, kernel: Kernel, rows: np.ndarray) -> np.ndarray:
-        """(n, len(rows)) kernel block between the database and its rows."""
-        b = self._x[rows]
-        if isinstance(kernel, RBFKernel):
-            return kernel.compute_blocked(
-                self._x, b, block_rows=self._block_rows,
-                a_sq=self._x_sq, b_sq=self._x_sq[rows])
-        return kernel.compute_blocked(self._x, b,
-                                      block_rows=self._block_rows)
-
     def ensure(self, kernel: Kernel, ids: list[int],
                rows: np.ndarray) -> int:
         """Make the columns ``K(X, X[rows])`` for ``ids`` available.
 
         ``ids`` are the training instance ids, ``rows`` their row indices
-        in the database matrix (aligned).  Only columns for ids not yet
-        cached under the current kernel parameters are computed (in one
-        blockwise batch); returns how many columns that was.
+        in the database matrix (aligned): :meth:`ensure_vectors` over
+        those rows.  Returns how many columns had to be computed.
         """
-        if len(ids) != len(rows):
-            raise ConfigurationError(
-                f"ids and rows must align, got {len(ids)} ids / "
-                f"{len(rows)} rows"
-            )
-        self._sync_kernel(kernel)
-        rows = np.asarray(rows, dtype=int)
-        missing = [k for k, i in enumerate(ids) if i not in self._cols]
-        obs = get_telemetry()
-        if missing:
-            with obs.span("svm.gram.ensure", columns=len(missing),
-                          reused=len(ids) - len(missing)):
-                fresh = self._kernel_columns(kernel, rows[missing])
-                for j, k in enumerate(missing):
-                    self._cols[ids[k]] = np.ascontiguousarray(fresh[:, j])
-        reused = len(ids) - len(missing)
-        self.misses += len(missing)
-        self.hits += reused
-        if missing:
-            obs.counter("svm.gram.columns_computed").inc(len(missing))
-        if reused:
-            obs.counter("svm.gram.columns_reused").inc(reused)
-        return len(missing)
+        return self.ensure_vectors(kernel, ids,
+                                   self._x[np.asarray(rows, dtype=int)])
 
     def ensure_vectors(self, kernel: Kernel, ids: list[int],
                        vectors: np.ndarray) -> int:
@@ -171,18 +136,6 @@ class GramCache:
             obs.counter("svm.gram.columns_reused").inc(reused)
         return len(missing)
 
-    def gram(self, ids: list[int], rows: np.ndarray) -> np.ndarray:
-        """Training Gram block ``K(X[rows], X[rows])`` from cached columns.
-
-        Requires :meth:`ensure` for ``ids`` first.  This is a (t, t)
-        gather — no kernel evaluation.
-        """
-        rows = np.asarray(rows, dtype=int)
-        out = np.empty((len(rows), len(ids)), dtype=float)
-        for j, i in enumerate(ids):
-            out[:, j] = self._cached_column(i)[rows]
-        return out
-
     def cross(self, ids: list[int]) -> np.ndarray:
         """Database-vs-``ids`` block ``K(X, X[rows(ids)])``, (n, len(ids)).
 
@@ -194,12 +147,6 @@ class GramCache:
         for j, i in enumerate(ids):
             out[:, j] = self._cached_column(i)
         return out
-
-    def columns(self, kernel: Kernel, ids: list[int],
-                rows: np.ndarray) -> np.ndarray:
-        """Ensure + gather: the full (n, len(ids)) column matrix."""
-        self.ensure(kernel, ids, rows)
-        return self.cross(ids)
 
     def _cached_column(self, instance_id: int) -> np.ndarray:
         try:
@@ -216,17 +163,6 @@ class GramCache:
         if self._diag is None:
             self._diag = kernel.diag(self._x)
         return self._diag
-
-    def drop(self, ids: list[int]) -> None:
-        """Forget cached columns for specific instance ids (if present)."""
-        for i in ids:
-            self._cols.pop(i, None)
-
-    def clear(self) -> None:
-        """Forget everything, including the kernel binding."""
-        self._cols.clear()
-        self._diag = None
-        self._params = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"GramCache(n_rows={self.n_rows}, cached={self.n_cached}, "

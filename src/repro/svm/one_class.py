@@ -86,32 +86,20 @@ class OneClassSVM:
         return self.support_vectors_ is not None
 
     def fit(self, x: np.ndarray,
-            alpha0: np.ndarray | None = None,
-            *, gram: np.ndarray | None = None) -> "OneClassSVM":
+            alpha0: np.ndarray | None = None) -> "OneClassSVM":
         """Estimate the support of the distribution of ``x`` (rows).
 
         ``alpha0`` warm-starts the SMO solver (projected to feasibility
         first) — useful when refitting on a slightly grown training set,
-        as the relevance-feedback loop does every round.  ``gram`` is an
-        optional precomputed ``K(x, x)`` (e.g. gathered from a
-        :class:`~repro.svm.gram_cache.GramCache`); it must have been
-        produced by the same kernel this estimator resolves.
+        as the relevance-feedback loop does every round.
         """
         x = check_2d("x", x)
         kernel = resolve_kernel(self._kernel_spec, gamma=self._gamma,
                                 degree=self._degree, coef0=self._coef0)
         kernel = kernel.prepare(x)
-        precomputed = gram is not None
-        if gram is None:
-            gram = kernel.compute(x, x)
-        elif np.asarray(gram).shape != (x.shape[0], x.shape[0]):
-            raise ConfigurationError(
-                f"precomputed gram has shape {np.asarray(gram).shape}, "
-                f"expected ({x.shape[0]}, {x.shape[0]})"
-            )
+        gram = kernel.compute(x, x)
         obs = get_telemetry()
-        with obs.span("svm.fit", learner="ocsvm", n=x.shape[0],
-                      precomputed_gram=precomputed):
+        with obs.span("svm.fit", learner="ocsvm", n=x.shape[0]):
             result = solve_one_class_smo(gram, self.nu, tol=self.tol,
                                          max_iter=self.max_iter,
                                          alpha0=alpha0)
@@ -165,12 +153,6 @@ class OneClassSVM:
         """+1 inside the estimated support, -1 outside."""
         scores = self.decision_function(x)
         return np.where(scores >= 0, 1, -1)
-
-    def score_samples(self, x: np.ndarray) -> np.ndarray:
-        """Decision values without the offset (sum_i alpha_i K(x_i, x))."""
-        if self.rho_ is None:
-            raise NotFittedError("OneClassSVM: call fit() first")
-        return self.decision_function(x) + self.rho_
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "fitted" if self.is_fitted else "unfitted"

@@ -2,9 +2,9 @@
 
 The paper is silent on scaling; its three accident features live on very
 different ranges (1/mdist in [0, 0.5], vdiff in pixels/frame, theta in
-[0, pi]), so both the heuristic square-sum score and the RBF kernel need
-the columns commensurate.  ``StandardScaler`` feeds the SVM,
-``MinMaxScaler`` feeds the heuristic/weighted-RF scores.
+[0, pi]), so the RBF kernel needs the columns commensurate.
+``StandardScaler`` feeds the SVM; the heuristic square-sum score reads
+the raw features, as the paper does.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from repro.errors import NotFittedError
 from repro.utils import check_2d
 
-__all__ = ["StandardScaler", "MinMaxScaler"]
+__all__ = ["StandardScaler"]
 
 _STD_FLOOR = 1e-12
 
@@ -48,28 +48,3 @@ class StandardScaler:
         x = check_2d("x", x)
         return x * self.scale_ + self.mean_
 
-
-class MinMaxScaler:
-    """Per-column scaling to [0, 1] over the fit data (clipped outside)."""
-
-    def __init__(self, clip: bool = True) -> None:
-        self.clip = bool(clip)
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, x: np.ndarray) -> "MinMaxScaler":
-        x = check_2d("x", x)
-        self.min_ = x.min(axis=0)
-        span = x.max(axis=0) - self.min_
-        self.range_ = np.where(span > _STD_FLOOR, span, 1.0)
-        return self
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise NotFittedError("MinMaxScaler: call fit() first")
-        x = check_2d("x", x)
-        out = (x - self.min_) / self.range_
-        return np.clip(out, 0.0, 1.0) if self.clip else out
-
-    def fit_transform(self, x: np.ndarray) -> np.ndarray:
-        return self.fit(x).transform(x)

@@ -73,29 +73,16 @@ class SVDD:
     def is_fitted(self) -> bool:
         return self.support_vectors_ is not None
 
-    def fit(self, x: np.ndarray, *,
-            gram: np.ndarray | None = None) -> "SVDD":
-        """Find the minimal soft hypersphere enclosing ``x`` rows.
-
-        ``gram`` is an optional precomputed ``K(x, x)`` (same contract as
-        :meth:`OneClassSVM.fit`).
-        """
+    def fit(self, x: np.ndarray) -> "SVDD":
+        """Find the minimal soft hypersphere enclosing ``x`` rows."""
         x = check_2d("x", x)
         kernel = resolve_kernel(self._kernel_spec, gamma=self._gamma,
                                 degree=self._degree, coef0=self._coef0)
         kernel = kernel.prepare(x)
-        precomputed = gram is not None
-        if gram is None:
-            gram = kernel.compute(x, x)
-        elif np.asarray(gram).shape != (x.shape[0], x.shape[0]):
-            raise ConfigurationError(
-                f"precomputed gram has shape {np.asarray(gram).shape}, "
-                f"expected ({x.shape[0]}, {x.shape[0]})"
-            )
+        gram = kernel.compute(x, x)
         diag = np.diag(gram).copy()
         obs = get_telemetry()
-        with obs.span("svm.fit", learner="svdd", n=x.shape[0],
-                      precomputed_gram=precomputed):
+        with obs.span("svm.fit", learner="svdd", n=x.shape[0]):
             result = solve_one_class_smo(
                 2.0 * gram, self.nu, linear=-diag,
                 tol=self.tol, max_iter=self.max_iter,

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.heuristics import (
-    heuristic_scores,
-    instance_feature_matrices,
-    instance_point_scores,
-    normalize_features,
-)
+from repro.core.heuristics import heuristic_scores, instance_point_scores
 from tests.core.conftest import make_toy
 
 
@@ -65,34 +60,16 @@ class TestHeuristicScores:
         bag_scores, _ = heuristic_scores(ds)
         assert bag_scores[-1] == -np.inf
 
-    def test_matrices_with_normalize_rejected(self, toy):
-        """Regression: normalize=True used to be silently ignored when
-        explicit matrices were passed — callers thought they ranked
-        normalized features when they didn't."""
-        from repro.errors import ConfigurationError
-
-        ds, _ = toy
-        matrices = instance_feature_matrices(ds)
-        with pytest.raises(ConfigurationError, match="not both"):
-            heuristic_scores(ds, matrices=matrices, normalize=True)
-        # Each flag on its own stays valid.
-        heuristic_scores(ds, matrices=matrices)
-        heuristic_scores(ds, normalize=True)
-
 
 class TestFeatureMatrices:
     def test_raw_by_default(self, toy):
+        """The paper scores raw features: no scaling before the square
+        sum."""
         ds, _ = toy
-        matrices = instance_feature_matrices(ds)
-        inst = ds.all_instances()[0]
-        assert np.array_equal(matrices[inst.instance_id], inst.matrix)
-
-    def test_normalized_in_unit_range(self, toy):
-        ds, _ = toy
-        matrices, scaler = normalize_features(ds)
-        stacked = np.vstack(list(matrices.values()))
-        assert stacked.min() >= 0.0
-        assert stacked.max() <= 1.0
+        _, inst_scores = heuristic_scores(ds)
+        for inst in ds.all_instances():
+            assert inst_scores[inst.instance_id] == pytest.approx(
+                float((inst.matrix ** 2).sum(axis=1).max()))
 
     def test_empty_dataset(self):
         from repro.core.bags import MILDataset
@@ -100,5 +77,5 @@ class TestFeatureMatrices:
         ds = MILDataset(clip_id="x", event_name="accident",
                         feature_names=("a",), window_size=3,
                         sampling_rate=5)
-        matrices, _ = normalize_features(ds)
-        assert matrices == {}
+        bag_scores, inst_scores = heuristic_scores(ds)
+        assert len(bag_scores) == 0 and inst_scores == {}

@@ -279,6 +279,27 @@ class TestNominators:
         }
         assert set(ranking[:n_candidates]) == candidate_ids
 
+    def test_partial_probe_recalls_exact_top_20(self):
+        """Eight spiked clips, two oracle rounds: probing 2 of 16 cells
+        recovers the exhaustive exact top 20 (recall@20 >= 0.95) while
+        handing at most a quarter of the bags to the exact rerank."""
+        datasets = [_clip(f"cam{i:02d}", 120, seed=100 + i, spike_every=12,
+                          window=6, features=4, instances_per_bag=4)
+                    for i in range(8)]
+        merged = merge_datasets(datasets, merged_id="merged:test")
+        relevant = _spiked_global_ids(merged)
+        exact = ShardedRetrievalEngine(_corpus(datasets))
+        ivf = ShardedRetrievalEngine(
+            _corpus(datasets), nominator=IVFNominator(n_cells=16, nprobe=2))
+        for _ in range(2):
+            labels = {b: b in relevant for b in exact.top_k(20)}
+            exact.feed(labels)
+            ivf.feed(labels)
+        exact_top, top = exact.top_k(20), ivf.top_k(20)
+        assert exact.last_round_stats["bags_scanned_fraction"] == 1.0
+        assert len(set(top) & set(exact_top)) / 20 >= 0.95
+        assert ivf.last_round_stats["bags_scanned_fraction"] <= 0.25
+
     def test_prebuilt_index_served_when_params_match(self, three_clips):
         from repro.index import build_index_for_dataset
 

@@ -23,9 +23,9 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs import Telemetry, get_telemetry, set_telemetry
-from repro.reliability import RetryPolicy
+from repro.reliability import FaultInjector, FaultPlan, FaultRule, RetryPolicy
 
-from tests.core.test_sharded import _clip
+from tests.core.test_sharded import _clip, _specs
 
 
 @pytest.fixture(autouse=True)
@@ -271,3 +271,29 @@ class TestDegradedRounds:
         corpus, _, _ = _flaky_corpus(clips)
         with pytest.raises(ConfigurationError):
             ShardedRetrievalEngine(corpus, failure_policy="lenient")
+
+
+@pytest.mark.parametrize("rate, recovery_round",
+                         [(0.2, 1), (0.5, 4), (0.8, 4)])
+def test_recovery_time_vs_fault_rate(rate, recovery_round):
+    """Seeded shard-load faults (at most six) on a zero-jitter reprobe
+    schedule under a fake clock: complete coverage returns at an exact
+    round and stays complete."""
+    injector = FaultInjector(FaultPlan([
+        FaultRule(op="shard.load", kind="io-error", rate=rate, limit=6),
+    ], seed=int(rate * 100)))
+    datasets = [_clip(f"clip-{i}", 120, seed=i + 1, spike_every=7 + i)
+                for i in range(6)]
+    clock = FakeClock()
+    corpus = ShardedCorpus(
+        injector.wrap_shard_specs(_specs(datasets)), corpus_id="merged:test",
+        retry_policy=RetryPolicy(base_delay=1.0, backoff=2.0, max_delay=4.0,
+                                 jitter=0.0),
+        clock=clock)
+    engine = ShardedRetrievalEngine(corpus, failure_policy="degraded")
+    degraded = []
+    for _ in range(recovery_round + 4):
+        engine.rank()
+        degraded.append(engine.last_coverage.degraded)
+        clock.advance(1.0)
+    assert degraded == [True] * (recovery_round - 1) + [False] * 5

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core import MILRetrievalEngine, OracleUser
-from repro.db import SemanticQuerySession, VideoDatabase
-from repro.errors import ConfigurationError
+from repro.db import MultiClipQuerySession, SemanticQuerySession, VideoDatabase
+from repro.errors import ConfigurationError, DatabaseBusyError
+from repro.eval import build_artifacts
 from repro.events import AccidentModel, build_dataset, extract_series
-from repro.sim import GroundTruth
+from repro.sim import GroundTruth, tunnel
 from repro.tracking.oracle import tracks_from_simulation
 
 
@@ -125,6 +126,73 @@ class TestFeedStateConsistency:
         assert resumed.round_index == 1
         assert resumed.engine.labels == session.engine.labels
         assert resumed.results() == session.results()
+
+
+class TestFailedLabelWrite:
+    """Regression: the engine takes a round's labels before the catalog
+    write, so a write that failed (busy catalog) used to leave the
+    session ranking on labels the catalog never stored — and the
+    service kept serving that ranking after answering 503."""
+
+    @pytest.fixture()
+    def stored_tunnel(self):
+        sim = tunnel(n_frames=600, seed=1, n_wall_crashes=2,
+                     n_sudden_stops=1)
+        artifacts = build_artifacts(sim, mode="oracle")
+        db = VideoDatabase()
+        db.ingest_simulation(sim, artifacts.tracks, artifacts.dataset)
+        return db, sim.name, artifacts.relevant_bag_ids
+
+    @staticmethod
+    def _fail_once(monkeypatch, db, method):
+        original = getattr(db, method)
+        calls = []
+
+        def busy_once(*args, **kwargs):
+            calls.append(method)
+            if len(calls) == 1:
+                raise DatabaseBusyError("database is locked")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(db, method, busy_once)
+
+    def _failed_feed(self, stored_tunnel, monkeypatch):
+        """A session whose 20-label round hit a busy catalog."""
+        db, clip, relevant = stored_tunnel
+        session = MultiClipQuerySession(db, [clip], "accident",
+                                        user_id="w", top_k=20)
+        labels = {b: b in relevant for b in session.results()}
+        assert len(labels) == 20 and any(labels.values())
+        self._fail_once(monkeypatch, db, "add_labels")
+        with pytest.raises(DatabaseBusyError):
+            session.feed(labels)
+        assert db.labels(session.corpus_id, "accident", "w") == []
+        fresh = MultiClipQuerySession(db, [clip], "accident",
+                                      user_id="w", top_k=20)
+        return session, labels, fresh
+
+    def test_next_round_ranks_from_stored_history(self, stored_tunnel,
+                                                  monkeypatch):
+        session, labels, fresh = self._failed_feed(stored_tunnel,
+                                                   monkeypatch)
+        assert session.results() == fresh.results()
+        assert session.round_index == 0 and session.engine.labels == {}
+        # The retried round is stored as round 0.
+        session.feed(labels)
+        db, clip, _ = stored_tunnel
+        resumed = MultiClipQuerySession(db, [clip], "accident",
+                                        user_id="w", top_k=20)
+        assert session.round_index == resumed.round_index == 1
+        assert session.results() == resumed.results()
+
+    def test_still_busy_catalog_fails_the_resync(self, stored_tunnel,
+                                                 monkeypatch):
+        session, _, fresh = self._failed_feed(stored_tunnel, monkeypatch)
+        db, _, _ = stored_tunnel
+        self._fail_once(monkeypatch, db, "accumulated_labels")
+        with pytest.raises(DatabaseBusyError):
+            session.results()
+        assert session.results() == fresh.results()
 
 
 class TestVehicleClassCache:

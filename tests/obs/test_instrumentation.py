@@ -9,7 +9,13 @@ stats, spans carry the right attributes, warning events fire.
 import numpy as np
 import pytest
 
-from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
+from repro.core import (
+    MILRetrievalEngine,
+    OracleUser,
+    RetrievalSession,
+    merge_datasets,
+)
+from repro.core.sharded import IVFNominator, ShardedRetrievalEngine
 from repro.errors import RetryableError
 from repro.eval import build_artifacts
 from repro.pipeline import DiskArtifactStore
@@ -18,6 +24,7 @@ from repro.sim import tunnel
 from repro.svm.gram_cache import GramCache
 from repro.svm.kernels import RBFKernel
 from tests.core.conftest import make_toy
+from tests.core.test_sharded import _clip, _corpus, _spiked_global_ids
 
 
 def _sim():
@@ -82,6 +89,31 @@ class TestGramCacheCounters:
             == cache.misses == 5
         assert t.counter("svm.gram.columns_reused").total() \
             == cache.hits == 3
+
+
+class TestShardedNominationCounters:
+    def test_pruned_ivf_round_counts_and_spans(self, fresh_telemetry):
+        """One pruned IVF round over two small clips: the ranking stays a
+        permutation, and the index and pruning counters and the
+        probe/rank spans are recorded."""
+        t = fresh_telemetry
+        datasets = [_clip(f"cam{i}", 48, seed=100 + i, spike_every=12,
+                          window=6, features=4, instances_per_bag=4)
+                    for i in range(2)]
+        merged = merge_datasets(datasets, merged_id="merged:test")
+        relevant = _spiked_global_ids(merged)
+        engine = ShardedRetrievalEngine(
+            _corpus(datasets), candidates_per_shard=8,
+            nominator=IVFNominator(n_cells=8, nprobe=2))
+        engine.feed({b: b in relevant for b in engine.top_k(10)})
+        ranking = engine.rank()
+        assert sorted(ranking) == list(range(len(merged)))
+        for name in ("index.builds", "index.cells_probed",
+                     "index.bags_nominated", "sharded.bags_scored",
+                     "sharded.bags_pruned"):
+            assert t.counter(name).total() > 0, name
+        names = {s.name for s in t.spans}
+        assert {"index.probe", "sharded.rank"} <= names
 
 
 class TestRetryPolicyClock:

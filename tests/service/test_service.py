@@ -3,6 +3,7 @@ cross-worker resume, corpus sharing, and the HTTP front end."""
 
 import http.client
 import json
+import threading
 
 import pytest
 
@@ -273,6 +274,17 @@ class TestCrossWorkerResume:
             b.close()
 
 
+def _http(conn, method, target, doc=None):
+    """One request down a keep-alive connection: (status, parsed body)."""
+    body = json.dumps(doc).encode() if doc is not None else None
+    conn.request(method, target, body=body)
+    resp = conn.getresponse()
+    data = resp.read()
+    if resp.headers.get_content_type() == "application/json":
+        return resp.status, json.loads(data)
+    return resp.status, data
+
+
 class TestHTTPServer:
     def test_end_to_end_over_http(self, service_db):
         path, clips = service_db
@@ -282,13 +294,7 @@ class TestHTTPServer:
                                               timeout=30)
 
             def req(method, target, doc=None):
-                body = json.dumps(doc).encode() if doc is not None else None
-                conn.request(method, target, body=body)
-                resp = conn.getresponse()
-                data = resp.read()
-                if resp.headers.get_content_type() == "application/json":
-                    return resp.status, json.loads(data)
-                return resp.status, data
+                return _http(conn, method, target, doc)
 
             status, doc = req("POST", "/sessions",
                               {"user": "nia", "clips": clips,
@@ -312,6 +318,52 @@ class TestHTTPServer:
             assert status == 404
             conn.close()
         svc.close()
+
+    def test_concurrent_keep_alive_clients(self, service_db):
+        """Two keep-alive clients interleave ten sessions each, two
+        rounds per session: no request fails server-side and every
+        session ends at round 2."""
+        path, clips = service_db
+        svc = RetrievalService(path)
+        statuses, rounds, errors = [], {}, []
+
+        def client(prefix):
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=30)
+
+            def req(method, target, doc=None):
+                status, reply = _http(conn, method, target, doc)
+                statuses.append(status)
+                return reply
+
+            try:
+                for i in range(10):
+                    sid = req("POST", "/sessions",
+                              {"user": f"{prefix}{i}", "clips": clips,
+                               "event": "accident", "top_k": 8})["session"]
+                    for _ in range(2):
+                        results = req("GET", f"/sessions/{sid}/results")
+                        req("POST", f"/sessions/{sid}/feed", {"labels": {
+                            str(r["bag_id"]): j % 2 == 0
+                            for j, r in enumerate(results["results"])}})
+                    rounds[sid] = req("GET", f"/sessions/{sid}")["round"]
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+            finally:
+                conn.close()
+
+        with RetrievalHTTPServer(svc, port=0, max_workers=4) as server:
+            threads = [threading.Thread(target=client, args=(p,))
+                       for p in ("cat", "dov")]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        svc.close()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert statuses and max(statuses) < 500
+        assert len(rounds) == 20 and set(rounds.values()) == {2}
 
     def test_keep_alive_and_bad_request(self, service_db):
         path, _clips = service_db

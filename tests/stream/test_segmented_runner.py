@@ -152,3 +152,18 @@ class TestResume:
             len(runner.artifacts.dataset.bags)
         names = {s.name for s in t.spans}
         assert {"ingest.segment", "pipeline.stream"} <= names
+
+
+class TestFirstWindow:
+    def test_first_bags_are_final_after_segment_zero(
+            self, small_intersection, intersection_batch):
+        """Streaming makes the clip queryable early: of four 100-frame
+        segments, the first already emits final bags — the batch
+        dataset's leading bags."""
+        runner = SegmentedRunner(segment_frames=100)
+        assert len(runner.segment_bounds(small_intersection.n_frames)) == 4
+        first = next(e for e in runner.stream(small_intersection) if e.bags)
+        assert first.index == 0
+        assert [b.bag_id for b in first.bags] == [
+            b.bag_id
+            for b in intersection_batch.dataset.bags[:len(first.bags)]]

@@ -31,11 +31,14 @@ def test_columns_match_direct_kernel(kernel, x):
     cache = GramCache(x)
     ids = [3, 11, 27, 5]
     rows = np.asarray(ids)
-    cols = cache.columns(kernel, ids, rows)
-    np.testing.assert_allclose(cols, kernel.compute(x, x[rows]), atol=1e-12)
-    # Training Gram is the row gather of the same columns.
-    np.testing.assert_allclose(cache.gram(ids, rows),
-                               kernel.compute(x[rows], x[rows]), atol=1e-12)
+    cache.ensure(kernel, ids, rows)
+    np.testing.assert_allclose(cache.cross(ids), kernel.compute(x, x[rows]),
+                               atol=1e-12)
+    # External vectors land in the same columns: ids seen by ensure()
+    # are served from cache by ensure_vectors().
+    assert cache.ensure_vectors(kernel, ids[:2], x[rows[:2]]) == 0
+    np.testing.assert_allclose(cache.cross(ids[:2]),
+                               kernel.compute(x, x[rows[:2]]), atol=1e-12)
 
 
 def test_warm_round_computes_only_new_columns(x):
@@ -58,28 +61,20 @@ def test_params_change_invalidates(x):
     assert cache.ensure(RBFKernel(1.0), [0, 1], np.array([0, 1])) == 2
     assert cache.n_cached == 2
     # Different family -> invalidation again, values match the new kernel.
-    cols = cache.columns(LinearKernel(), [0, 1], np.array([0, 1]))
-    np.testing.assert_allclose(cols, x @ x[[0, 1]].T, atol=1e-12)
+    assert cache.ensure(LinearKernel(), [0, 1], np.array([0, 1])) == 2
+    np.testing.assert_allclose(cache.cross([0, 1]), x @ x[[0, 1]].T,
+                               atol=1e-12)
 
 
 def test_gram_requires_ensure(x):
     cache = GramCache(x)
     with pytest.raises(ConfigurationError, match="ensure"):
-        cache.gram([4], np.array([4]))
+        cache.cross([4])
 
 
 def test_ids_rows_must_align(x):
     with pytest.raises(ConfigurationError, match="align"):
         GramCache(x).ensure(LinearKernel(), [1, 2], np.array([1]))
-
-
-def test_drop_and_clear(x):
-    cache = GramCache(x)
-    cache.ensure(LinearKernel(), [0, 1, 2], np.array([0, 1, 2]))
-    cache.drop([1, 99])
-    assert cache.n_cached == 2
-    cache.clear()
-    assert cache.n_cached == 0 and cache.params is None
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: type(k).__name__)

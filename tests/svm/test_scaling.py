@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.errors import NotFittedError
-from repro.svm import MinMaxScaler, StandardScaler
+from repro.svm import StandardScaler
 
 
 class TestStandardScaler:
@@ -40,31 +40,3 @@ class TestStandardScaler:
         z = scaler.transform(x)
         assert np.allclose(scaler.inverse_transform(z), x, atol=1e-8)
 
-
-class TestMinMaxScaler:
-    def test_unit_interval(self):
-        x = np.random.default_rng(1).uniform(-10, 10, size=(50, 3))
-        z = MinMaxScaler().fit_transform(x)
-        assert z.min() >= 0.0 and z.max() <= 1.0
-        assert np.allclose(z.min(axis=0), 0.0)
-        assert np.allclose(z.max(axis=0), 1.0)
-
-    def test_clipping_outside_fit_range(self):
-        scaler = MinMaxScaler().fit(np.array([[0.0], [10.0]]))
-        out = scaler.transform(np.array([[-5.0], [15.0]]))
-        assert out[0, 0] == 0.0
-        assert out[1, 0] == 1.0
-
-    def test_no_clip_option(self):
-        scaler = MinMaxScaler(clip=False).fit(np.array([[0.0], [10.0]]))
-        out = scaler.transform(np.array([[20.0]]))
-        assert out[0, 0] == pytest.approx(2.0)
-
-    def test_constant_column_maps_to_zero(self):
-        x = np.full((5, 1), 7.0)
-        z = MinMaxScaler().fit_transform(x)
-        assert np.allclose(z, 0.0)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
-            MinMaxScaler().transform(np.zeros((2, 2)))

@@ -7,6 +7,9 @@ retrieval engine has to reproduce what it ranked before:
   mode, plus Fig. 9 under the SVDD learner and ``training_policy="all"``;
 * the MIL_OCSVM series of ``mil_algorithms`` on the tunnel (its default
   intersection series is the Fig. 9 case above);
+* the baselines: Weighted-RF on the Fig. 8 and Fig. 9 clips under
+  percentage and linear weight normalization, and Diverse Density and
+  EM-DD on a small synthetic dataset;
 * multi-clip sessions: IVF-nominated with pruning, degraded under a
   seeded fault plan, fed by streaming appends, and driven over the
   service API.
@@ -19,6 +22,9 @@ near-ties can flip in the last bit across CPUs and BLAS builds.
 After an intended ranking change, regenerate the fixture file with::
 
     REPRO_GOLDEN_REGEN=1 PYTHONPATH=src python -m pytest tests/golden -q
+
+Regeneration rewrites only the cases that ran, so ``-k <case>`` records
+one case and leaves the others as they were.
 """
 
 from __future__ import annotations
@@ -31,13 +37,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import MILRetrievalEngine, MultiClipOracle, OracleUser
+from repro.core import (
+    DiverseDensityEngine,
+    EMDDEngine,
+    MILRetrievalEngine,
+    MultiClipOracle,
+    OracleUser,
+    WeightedRFEngine,
+)
 from repro.db import MultiClipQuerySession, StreamingIngest, VideoDatabase
 from repro.eval import build_artifacts
 from repro.events.models import event_model_for
 from repro.reliability import FaultInjector, FaultPlan, FaultRule, RetryPolicy
 from repro.service import RetrievalService
 from repro.sim import GroundTruth, intersection, tunnel
+from tests.core.conftest import make_toy
 
 FIXTURE = Path(__file__).with_name("rankings.json")
 REGEN = os.environ.get("REPRO_GOLDEN_REGEN") == "1"
@@ -75,14 +89,18 @@ def _record(ids, scores, labels, **extra) -> dict:
             "accuracy": hits / len(ids) if ids else 0.0, **extra}
 
 
-def _protocol(artifacts, **engine_kwargs) -> list[dict]:
+def _protocol(artifacts, engine_cls=MILRetrievalEngine,
+              **engine_kwargs) -> list[dict]:
     """The paper's 5-round protocol, as ``run_protocol`` drives it."""
     kinds = event_model_for(artifacts.dataset.event_name).relevant_kinds
-    engine = MILRetrievalEngine(artifacts.dataset, **engine_kwargs)
-    user = OracleUser(artifacts.ground_truth, kinds)
+    return _rounds(engine_cls(artifacts.dataset, **engine_kwargs),
+                   OracleUser(artifacts.ground_truth, kinds))
+
+
+def _rounds(engine, user, top_k=TOP_K) -> list[dict]:
     rounds = []
     for _ in range(PROTOCOL_ROUNDS):
-        ids = engine.top_k(TOP_K)
+        ids = engine.top_k(top_k)
         labels = user.label_bags([engine.dataset.bag_by_id(b) for b in ids])
         rounds.append(_record(ids, _scores(engine, ids), labels))
         engine.feed(labels)
@@ -150,6 +168,40 @@ def case_figure9_policy_all(clips, tmp_path):
 
 def case_mil_algorithms(clips, tmp_path):
     return _protocol(_paper_clip("tunnel", 1))
+
+
+def case_weighted_rf_figure8(clips, tmp_path):
+    return _protocol(_paper_clip("tunnel", 0), WeightedRFEngine)
+
+
+def case_weighted_rf_figure8_linear(clips, tmp_path):
+    return _protocol(_paper_clip("tunnel", 0), WeightedRFEngine,
+                     normalization="linear")
+
+
+def case_weighted_rf_figure9(clips, tmp_path):
+    return _protocol(_paper_clip("intersection", 1), WeightedRFEngine)
+
+
+def case_weighted_rf_figure9_linear(clips, tmp_path):
+    return _protocol(_paper_clip("intersection", 1), WeightedRFEngine,
+                     normalization="linear")
+
+
+def _toy_protocol(engine_cls) -> list[dict]:
+    """DD-family baselines on a small synthetic dataset (the paper clips
+    take DD tens of seconds per round)."""
+    dataset, truth = make_toy(n_event=6, n_brake=6, n_normal=12, seed=2)
+    return _rounds(engine_cls(dataset, max_starts=4), OracleUser(truth),
+                   top_k=8)
+
+
+def case_diverse_density_toy(clips, tmp_path):
+    return _toy_protocol(DiverseDensityEngine)
+
+
+def case_emdd_toy(clips, tmp_path):
+    return _toy_protocol(EMDDEngine)
 
 
 def case_multiclip_ivf(clips, tmp_path):
@@ -282,7 +334,8 @@ def assert_round_matches(expected: dict, actual: dict, where: str) -> None:
 @pytest.fixture(scope="module")
 def golden():
     if REGEN:
-        doc: dict = {}
+        doc: dict = (json.loads(FIXTURE.read_text())
+                     if FIXTURE.exists() else {})
         yield doc
         FIXTURE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     else:

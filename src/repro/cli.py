@@ -303,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--top-k", type=int, default=20)
     query.add_argument("--engine", default="mil_ocsvm",
                        choices=("mil_ocsvm", "weighted_rf"),
-                       help="weighted_rf needs a single-clip query (--clip)")
+                       help="learning rule: the paper's one-class SVM or "
+                            "the weighted relevance-feedback baseline")
     _add_policy_args(query)
     query.add_argument("--candidates-per-shard", type=int, default=None,
                        help="exact-score at most M bags per shard "

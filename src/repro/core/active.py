@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import RetrievalEngine
 from repro.core.feedback import OracleUser, RetrievalSession, RoundResult
+from repro.core.sharded import ShardedRetrievalEngine
 from repro.errors import ConfigurationError
 
 __all__ = ["ActiveRetrievalSession"]
@@ -28,7 +28,7 @@ class ActiveRetrievalSession(RetrievalSession):
     take the bags just below the cut, the "frontier").
     """
 
-    def __init__(self, engine: RetrievalEngine, user: OracleUser,
+    def __init__(self, engine: ShardedRetrievalEngine, user: OracleUser,
                  top_k: int = 20, explore_k: int = 5) -> None:
         super().__init__(engine=engine, user=user, top_k=top_k)
         if not 0 <= explore_k < top_k:

@@ -16,16 +16,18 @@ original two-step scheme.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 from scipy.optimize import minimize
 
 from repro.core.bags import MILDataset
-from repro.core.base import RetrievalEngine
+from repro.core.engine import MILRetrievalEngine
 from repro.errors import ConfigurationError
-from repro.svm.scaling import StandardScaler
 from repro.utils import check_positive
 
-__all__ = ["DiverseDensityEngine", "dd_instance_prob", "dd_negative_log_likelihood"]
+__all__ = ["DiverseDensityEngine", "DiverseDensityRule", "dd_instance_prob",
+           "dd_negative_log_likelihood"]
 
 _PROB_EPS = 1e-10
 
@@ -58,80 +60,80 @@ def dd_negative_log_likelihood(
     return float(nll)
 
 
-class DiverseDensityEngine(RetrievalEngine):
-    """Interactive retrieval ranked by Diverse Density instance probability.
+class DiverseDensityRule:
+    """Rank by Diverse Density instance probability.
 
     Relevant bags from feedback are the positive bags, irrelevant ones
-    the negative bags; before any feedback the heuristic ranking applies
-    (as for every engine).
+    the negative bags, all in the corpus-standardized feature space.
+    ``hypothesis_`` (target, scales) and its ``nll_`` stay ``None``
+    until the first fit.
     """
 
-    def __init__(self, dataset: MILDataset, *, max_starts: int = 8,
-                 max_iter: int = 200) -> None:
-        super().__init__(dataset)
+    standardized = True
+    negatives = True
+
+    def __init__(self, *, max_starts: int = 8, max_iter: int = 200) -> None:
         check_positive("max_starts", max_starts)
         check_positive("max_iter", max_iter)
         self.max_starts = int(max_starts)
         self.max_iter = int(max_iter)
-        self._scaler = StandardScaler()
-        vectors = np.stack(
-            [inst.vector for inst in dataset.all_instances()]
-        )
-        self._scaler.fit(vectors)
-        self._ids = [inst.instance_id for inst in dataset.all_instances()]
-        self._X = self._scaler.transform(vectors)
-        self._by_id = dict(zip(self._ids, self._X))
+        self.reset()
+
+    def reset(self) -> None:
         self.hypothesis_: tuple[np.ndarray, np.ndarray] | None = None
         self.nll_: float | None = None
 
-    @property
-    def is_trained(self) -> bool:
-        return self.hypothesis_ is not None
-
-    def _bag_matrices(self, bag_ids: list[int]) -> list[np.ndarray]:
-        out = []
-        for bag_id in bag_ids:
-            bag = self.dataset.bag_by_id(bag_id)
-            if bag.instances:
-                out.append(np.stack(
-                    [self._by_id[i.instance_id] for i in bag.instances]
-                ))
-        return out
+    def select(self, ranked: Sequence[int]) -> list[int]:
+        """Every TS of the bag, in layout order."""
+        return sorted(ranked)
 
     def _starting_points(self, positive_bags: list[np.ndarray]) -> np.ndarray:
         instances = np.vstack(positive_bags)
         if len(instances) <= self.max_starts:
             return instances
-        # Deterministic spread: every k-th instance by heuristic order.
+        # Deterministic spread: every k-th positive instance.
         idx = np.linspace(0, len(instances) - 1, self.max_starts)
         return instances[idx.round().astype(int)]
 
-    def _retrain(self) -> None:
-        positive = self._bag_matrices(self.relevant_bag_ids)
-        negative = self._bag_matrices(self.irrelevant_bag_ids)
-        if not positive:
-            self.hypothesis_ = None
-            return
+    def _optimize(self, start: np.ndarray, positive: list[np.ndarray],
+                  negative: list[np.ndarray]) -> tuple[float, np.ndarray]:
+        """(NLL, params) of the descent from one starting point."""
+        params0 = np.concatenate([start, np.full(len(start), 0.7)])
+        result = minimize(
+            dd_negative_log_likelihood,
+            params0,
+            args=(positive, negative),
+            method="L-BFGS-B",
+            options={"maxiter": self.max_iter},
+        )
+        return float(result.fun), result.x
+
+    def fit(self, positive: list[np.ndarray], negative: list[np.ndarray],
+            ids: list[int]) -> None:
+        positive = [b.reshape(len(b), -1) for b in positive if len(b)]
+        negative = [b.reshape(len(b), -1) for b in negative if len(b)]
         d = positive[0].shape[1]
         best_nll, best_params = np.inf, None
         for start in self._starting_points(positive):
-            params0 = np.concatenate([start, np.full(d, 0.7)])
-            result = minimize(
-                dd_negative_log_likelihood,
-                params0,
-                args=(positive, negative),
-                method="L-BFGS-B",
-                options={"maxiter": self.max_iter},
-            )
-            if result.fun < best_nll:
-                best_nll, best_params = float(result.fun), result.x
+            nll, params = self._optimize(start, positive, negative)
+            if nll < best_nll:
+                best_nll, best_params = nll, params
         if best_params is None:  # pragma: no cover - optimizer always returns
             raise ConfigurationError("diverse density failed to optimize")
         self.hypothesis_ = (best_params[:d], best_params[d:])
         self.nll_ = best_nll
 
-    def _instance_scores(self) -> dict[int, float]:
-        assert self.hypothesis_ is not None
+    def decisions(self, shard, rows: np.ndarray | None = None
+                  ) -> np.ndarray:
         target, scales = self.hypothesis_
-        probs = dd_instance_prob(self._X, target, scales)
-        return dict(zip(self._ids, probs.astype(float)))
+        x = shard.matrix if rows is None else shard.matrix[rows]
+        return dd_instance_prob(x, target, scales).astype(float)
+
+
+class DiverseDensityEngine(MILRetrievalEngine):
+    """The MIL engine over :class:`DiverseDensityRule`."""
+
+    def __init__(self, dataset: MILDataset, *, max_starts: int = 8,
+                 max_iter: int = 200) -> None:
+        super().__init__(dataset, rule=DiverseDensityRule,
+                         max_starts=max_starts, max_iter=max_iter)

@@ -16,11 +16,13 @@ from scipy.optimize import minimize
 
 from repro.core.bags import MILDataset
 from repro.core.diverse_density import (
-    DiverseDensityEngine,
+    DiverseDensityRule,
     dd_instance_prob,
 )
+from repro.core.engine import MILRetrievalEngine
+from repro.utils import check_positive
 
-__all__ = ["EMDDEngine"]
+__all__ = ["EMDDEngine", "EMDDRule"]
 
 _PROB_EPS = 1e-10
 
@@ -40,19 +42,18 @@ def _single_instance_nll(params: np.ndarray, positives: np.ndarray,
     return float(nll)
 
 
-class EMDDEngine(DiverseDensityEngine):
+class EMDDRule(DiverseDensityRule):
     """Diverse Density trained with the EM-DD alternation."""
 
-    def __init__(self, dataset: MILDataset, *, max_starts: int = 8,
-                 max_iter: int = 200, em_iterations: int = 10,
-                 em_tol: float = 1e-4) -> None:
-        super().__init__(dataset, max_starts=max_starts, max_iter=max_iter)
+    def __init__(self, *, max_starts: int = 8, max_iter: int = 200,
+                 em_iterations: int = 10, em_tol: float = 1e-4) -> None:
+        super().__init__(max_starts=max_starts, max_iter=max_iter)
+        check_positive("em_iterations", em_iterations)
         self.em_iterations = int(em_iterations)
         self.em_tol = float(em_tol)
 
-    def _em_from_start(self, start: np.ndarray,
-                       positive: list[np.ndarray],
-                       negative: list[np.ndarray]) -> tuple[float, np.ndarray]:
+    def _optimize(self, start: np.ndarray, positive: list[np.ndarray],
+                  negative: list[np.ndarray]) -> tuple[float, np.ndarray]:
         d = len(start)
         params = np.concatenate([start, np.full(d, 0.7)])
         best_nll = np.inf
@@ -86,18 +87,13 @@ class EMDDEngine(DiverseDensityEngine):
             best_nll = nll
         return best_nll, params
 
-    def _retrain(self) -> None:
-        positive = self._bag_matrices(self.relevant_bag_ids)
-        negative = self._bag_matrices(self.irrelevant_bag_ids)
-        if not positive:
-            self.hypothesis_ = None
-            return
-        d = positive[0].shape[1]
-        best_nll, best_params = np.inf, None
-        for start in self._starting_points(positive):
-            nll, params = self._em_from_start(start, positive, negative)
-            if nll < best_nll:
-                best_nll, best_params = nll, params
-        assert best_params is not None
-        self.hypothesis_ = (best_params[:d], best_params[d:])
-        self.nll_ = best_nll
+
+class EMDDEngine(MILRetrievalEngine):
+    """The MIL engine over :class:`EMDDRule`."""
+
+    def __init__(self, dataset: MILDataset, *, max_starts: int = 8,
+                 max_iter: int = 200, em_iterations: int = 10,
+                 em_tol: float = 1e-4) -> None:
+        super().__init__(dataset, rule=EMDDRule, max_starts=max_starts,
+                         max_iter=max_iter, em_iterations=em_iterations,
+                         em_tol=em_tol)

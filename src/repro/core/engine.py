@@ -2,7 +2,9 @@
 
 The learning rule lives in :class:`~repro.core.rule.OneClassRule` and the
 engine in :class:`~repro.core.sharded.ShardedRetrievalEngine`; one clip
-is simply a corpus with one shard.
+is simply a corpus with one shard.  The baselines are this engine over
+their own rules (:mod:`repro.core.weighted_rf`,
+:mod:`repro.core.diverse_density`, :mod:`repro.core.emdd`).
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ class MILRetrievalEngine(ShardedRetrievalEngine):
 
     A :class:`~repro.core.sharded.ShardedRetrievalEngine` over a one-shard
     corpus of ``dataset``, which stays available as :attr:`dataset`;
-    keyword arguments configure the engine (``z``, ``kernel``, ``gamma``,
-    ``training_policy``, ``nu_bounds``, ``learner``, ``warm_start``, ...).
+    keyword arguments configure the engine and its rule (``z``,
+    ``kernel``, ``gamma``, ``training_policy``, ``nu_bounds``,
+    ``learner``, ``warm_start``, ...).
     The shard keeps the dataset's ids, so they must already be
     positional: bag ids ``0..n-1`` in order and instance ids ``0..N-1``
     bag-contiguously, as every builder in this package numbers them.

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.bags import Bag
-from repro.core.base import RetrievalEngine
+from repro.core.sharded import ShardedRetrievalEngine
 from repro.errors import ConfigurationError
 from repro.obs import get_telemetry
 from repro.sim.ground_truth import GroundTruth
@@ -128,7 +128,7 @@ class RoundResult:
 class RetrievalSession:
     """Drive engine/user rounds and record what was shown and labelled."""
 
-    engine: RetrievalEngine
+    engine: ShardedRetrievalEngine
     user: OracleUser
     top_k: int = 20
     rounds: list[RoundResult] = field(default_factory=list)

@@ -23,11 +23,12 @@ __all__ = ["heuristic_scores", "instance_point_scores"]
 
 def instance_point_scores(matrix: np.ndarray,
                           weights: np.ndarray | None = None) -> np.ndarray:
-    """Per-sampling-point scores: (weighted) square sum of the features."""
+    """Per-sampling-point scores: (weighted) square sum of the features
+    (the last axis of ``matrix``)."""
     squared = np.asarray(matrix, dtype=float) ** 2
     if weights is not None:
         squared = squared * np.asarray(weights, dtype=float)
-    return squared.sum(axis=1)
+    return squared.sum(axis=-1)
 
 
 def heuristic_scores(

@@ -5,7 +5,7 @@ The paper's end state is retrieval over a whole surveillance *database*
 database shall be mined and retrieved as a whole", Section 6.2).
 Merging every clip into one monolithic
 :class:`~repro.core.bags.MILDataset` gets the semantics right but scores
-every instance with the one-class SVM each feedback round — linear round
+every instance with the learning rule each feedback round — linear round
 latency in corpus size.
 
 This module keeps the corpus sharded per clip and ranks in two stages,
@@ -14,10 +14,11 @@ the coarse-to-fine shape of progressive surveillance search systems:
 1. a cheap **heuristic prefilter** (the paper's Section 5.3 square-sum
    scores, precomputed per shard) nominates the top-M candidate bags of
    every shard;
-2. the **exact one-class SVM** scores only the candidate instances —
-   full shards go through the per-shard
-   :class:`~repro.svm.gram_cache.GramCache` so warm rounds reuse kernel
-   columns, pruned shards evaluate one small kernel block;
+2. the engine's **learning rule** (:mod:`repro.core.rule`) scores only
+   the candidate instances exactly — the One-class SVM rule scores full
+   shards through the per-shard :class:`~repro.svm.gram_cache.GramCache`
+   so warm rounds reuse kernel columns, pruned shards as one small
+   kernel block;
 3. per-shard rankings are **k-way merged** lazily under the global
    deterministic order (score descending, bag id ascending), with pruned
    bags appended after all candidates in heuristic order.
@@ -26,7 +27,8 @@ Global bag/instance ids replicate ``merge_datasets``' positional
 renumbering, so with pruning disabled (``candidates_per_shard=None``)
 the ranking is the one the merged dataset would get.  A single clip is
 a one-shard corpus: :class:`~repro.core.engine.MILRetrievalEngine` is
-this engine over one.
+this engine over one, and the baselines are that engine over their
+rules.
 
 The corpus layer is database-agnostic: a :class:`ShardSpec` carries a
 zero-argument ``loader`` callback, so :mod:`repro.db` can hand out
@@ -36,19 +38,20 @@ lazily-loading specs without this module importing the storage layer.
 from __future__ import annotations
 
 import heapq
+import numbers
 import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from repro.core.bags import Bag, Instance, MILDataset
-from repro.core.base import InstanceExplanation
 from repro.core.heuristics import heuristic_scores
-from repro.core.rule import OneClassRule
+from repro.core.rule import OneClassRule, Rule
 from repro.errors import (
     ConfigurationError,
     ShardUnavailableError,
@@ -58,13 +61,51 @@ from repro.index.ivf import IVFIndex
 from repro.obs import get_telemetry
 from repro.reliability.retry import RetryPolicy
 from repro.svm.gram_cache import GramCache
-from repro.svm.kernels import Kernel, RBFKernel
 from repro.svm.scaling import StandardScaler
 from repro.utils import check_in_range
 
 __all__ = ["ShardSpec", "CorpusShard", "ShardedCorpus", "CorpusPool",
            "ShardedRetrievalEngine", "HeuristicNominator", "IVFNominator",
-           "ShardOutage", "CoverageReport"]
+           "ShardOutage", "CoverageReport", "InstanceExplanation"]
+
+
+@dataclass(frozen=True)
+class InstanceExplanation:
+    """One Trajectory Sequence's standing inside a retrieved bag.
+
+    The user-facing payoff of the MIL mapping: after labelling whole
+    Video Sequences, :meth:`ShardedRetrievalEngine.explain` ranks the
+    vehicles inside a result so a UI can highlight the ones the engine
+    believes are involved.
+    """
+
+    rank: int
+    instance_id: int
+    track_id: int
+    score: float
+    feature_names: tuple[str, ...]
+    matrix: np.ndarray
+
+    @classmethod
+    def for_bag(cls, bag, scores: Mapping[int, float],
+                feature_names: tuple[str, ...]) -> list["InstanceExplanation"]:
+        """One explanation per instance of ``bag``, best ``scores``
+        (instance id -> relevance) first."""
+        ordered = sorted(bag.instances, key=lambda i: scores[i.instance_id],
+                         reverse=True)
+        return [
+            cls(rank=rank, instance_id=inst.instance_id,
+                track_id=inst.track_id, score=float(scores[inst.instance_id]),
+                feature_names=feature_names, matrix=inst.matrix)
+            for rank, inst in enumerate(ordered, start=1)
+        ]
+
+    def peak_feature(self) -> tuple[str, float]:
+        """(channel name, signed value) of the largest |feature| entry."""
+        flat_index = int(np.argmax(np.abs(self.matrix)))
+        _, col = np.unravel_index(flat_index, self.matrix.shape)
+        return (self.feature_names[col],
+                float(self.matrix.ravel()[flat_index]))
 
 
 @dataclass(frozen=True)
@@ -105,8 +146,9 @@ class CorpusShard:
     ``instance_offset`` + bag-contiguous row — so shard-local arrays
     translate to global ids by offset arithmetic alone.
 
-    ``matrix`` (the standardized instance matrix) and ``gram_cache``
-    stay ``None`` until the engine fits its global scaler; the heuristic
+    ``matrix`` (the standardized instance matrix) stays ``None`` until
+    the engine fits its global scaler, and ``gram_cache`` until the
+    One-class SVM rule first scores the whole shard; the heuristic
     prefilter only needs the raw features.
     """
 
@@ -356,6 +398,18 @@ class CorpusShard:
 
     def row_of(self, instance_id: int) -> int:
         return instance_id - self.instance_offset
+
+    def ts_matrices(self, rows: np.ndarray | list[int] | None, *,
+                    standardized: bool) -> np.ndarray:
+        """The Trajectory Sequences at local ``rows`` (every row if
+        ``None``) as (rows, window, features) matrices, from the raw or
+        the standardized instance matrix."""
+        shape = (self.dataset.window_size, len(self.dataset.feature_names))
+        if rows is not None and len(rows) == 0:  # an empty bag
+            return np.empty((0, *shape))
+        matrix = self.matrix if standardized else self.matrix_raw
+        block = matrix if rows is None else matrix[rows]
+        return block.reshape(len(block), *shape)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CorpusShard({self.clip_id!r}, bags={self.n_bags}, "
@@ -870,16 +924,18 @@ def _resolve_nominator(nominator):
 class ShardedRetrievalEngine:
     """Two-stage MIL retrieval over a :class:`ShardedCorpus`.
 
-    The paper's learning rule (:class:`~repro.core.rule.OneClassRule`:
-    one-class SVM on the top heuristic Trajectory Sequences of the
-    relevant bags, nu from Eq. 9), with scoring organized shard by
-    shard:
+    Relevance feedback trains a learning rule (:class:`~repro.core.rule.Rule`),
+    built by ``rule`` from ``rule_kwargs``.  The default is the paper's
+    :class:`~repro.core.rule.OneClassRule` (one-class SVM on the top
+    heuristic Trajectory Sequences of the relevant bags, nu from Eq. 9;
+    ``z``, ``kernel``, ``gamma``, ``training_policy``, ``nu_bounds``,
+    ``learner`` and ``warm_start`` configure it).  Until the rule is
+    fitted every bag keeps its heuristic initial score.  Scoring is
+    organized shard by shard:
 
-    * ``candidates_per_shard=None`` scores every bag exactly (through
-      each shard's :class:`GramCache`, so warm rounds reuse kernel
-      columns).
+    * ``candidates_per_shard=None`` scores every bag exactly.
     * ``candidates_per_shard=M`` scores only each shard's nominated
-      candidates with the SVM; the remaining bags keep their heuristic
+      candidates with the rule; the remaining bags keep their heuristic
       order *after* all candidates — a recall/latency knob.
     * ``nominator`` picks stage one: ``"heuristic"`` (static top-M
       prefilter, exact-compatible default) or ``"ivf"`` (probe each
@@ -893,31 +949,17 @@ class ShardedRetrievalEngine:
       schedule) and ``last_coverage`` reports exactly which clips/bags
       the ranking is missing; under ``"strict"`` (default) the
       :class:`~repro.errors.ShardUnavailableError` propagates.
-
-    ``z``, ``kernel``, ``gamma``, ``training_policy``, ``nu_bounds``,
-    ``learner`` and ``warm_start`` configure the rule.
-
-    The engine deliberately duck-types ``RetrievalEngine`` (``feed`` /
-    ``rank`` / ``top_k`` / ``bag_scores`` / ``explain`` / ``labels`` /
-    ``dataset``) instead of subclassing it: the base class materializes
-    one dataset-wide matrix at construction, which is exactly what
-    sharding avoids.
     """
 
     def __init__(
         self,
         corpus: ShardedCorpus,
         *,
+        rule: Callable[..., Rule] = OneClassRule,
         candidates_per_shard: int | None = None,
         nominator: str | HeuristicNominator | IVFNominator = "heuristic",
-        z: float = 0.05,
-        kernel: str | Kernel = "rbf",
-        gamma: float | str = "auto",
-        training_policy: str = "top1",
-        nu_bounds: tuple[float, float] = (0.05, 0.95),
-        learner: str = "ocsvm",
-        warm_start: bool = False,
         failure_policy: str = "strict",
+        **rule_kwargs,
     ) -> None:
         if len(corpus) == 0:
             raise ConfigurationError("dataset has no bags to rank")
@@ -935,9 +977,7 @@ class ShardedRetrievalEngine:
                 f"candidates_per_shard must be >= 1 or None, got "
                 f"{candidates_per_shard}"
             )
-        self.rule = OneClassRule(
-            z=z, kernel=kernel, gamma=gamma, training_policy=training_policy,
-            nu_bounds=nu_bounds, learner=learner, warm_start=warm_start)
+        self.rule = rule(**rule_kwargs)
         self.dataset = corpus
         self.corpus = corpus
         self.candidates_per_shard = candidates_per_shard
@@ -956,6 +996,9 @@ class ShardedRetrievalEngine:
         self.last_round_stats: dict | None = None
         self.labels: dict[int, bool] = {}
         self._scaler: StandardScaler | None = None
+        #: Whether the rule is fitted; until then bags score by the
+        #: heuristic.
+        self.is_trained = False
         self.last_nu_: float | None = None
         self.training_size_: int = 0
         # Per-round ranking state, rebuilt lazily after each feed():
@@ -1027,10 +1070,13 @@ class ShardedRetrievalEngine:
     def feed(self, labels: Mapping[int, bool]) -> None:
         """Accumulate bag labels (bag_id -> relevant?) and retrain.
 
-        Validates before mutating (same contract as
-        ``RetrievalEngine.feed``): a round with unknown bag ids leaves
-        the engine untouched.
+        Validates before mutating: a round with a non-integer or unknown
+        bag id leaves the engine untouched.
         """
+        bad = [b for b in labels if not isinstance(b, numbers.Integral)]
+        if bad:
+            raise ConfigurationError(
+                f"bag ids must be integers, got {bad[:5]}")
         self._sync_corpus()
         unknown = {int(b) for b in labels
                    if not 0 <= int(b) < len(self.corpus)}
@@ -1054,10 +1100,6 @@ class ShardedRetrievalEngine:
     def has_relevant_feedback(self) -> bool:
         return any(self.labels.values())
 
-    @property
-    def is_trained(self) -> bool:
-        return self.rule.model is not None
-
     # -- training ---------------------------------------------------------
     def _ensure_standardized(self) -> StandardScaler:
         """Fit the global scaler and standardize every shard (once).
@@ -1079,29 +1121,22 @@ class ShardedRetrievalEngine:
             # Shared-corpus note: engines of concurrent sessions fit
             # identical scalers (same rows, same order), so whichever
             # engine standardizes a shard first does it for all — the
-            # per-shard lock only prevents a torn matrix/gram_cache
-            # pair, not divergent contents.
+            # per-shard lock only prevents a torn matrix, not divergent
+            # contents.
             with shard.lock:
                 if shard.matrix_raw is None or shard.matrix is not None:
                     continue
-                matrix = np.ascontiguousarray(
+                shard.matrix = np.ascontiguousarray(
                     self._scaler.transform(shard.matrix_raw))
-                shard.gram_cache = GramCache(matrix)
-                shard.matrix = matrix
         return self._scaler
 
-    def _standardized_rows(self, instance_ids: list[int]) -> np.ndarray:
-        rows = []
-        for i in instance_ids:
-            shard = self.corpus.shard_for_instance(i)
-            assert shard.matrix is not None
-            rows.append(shard.matrix[shard.row_of(i)])
-        return np.ascontiguousarray(np.stack(rows))
-
-    def _training_instance_ids(self, relevant: list[int]) -> list[int]:
-        ids: list[int] = []
+    def _training_picks(self, bag_ids: list[int]
+                        ) -> tuple[list[tuple[CorpusShard, list[int]]], int]:
+        """(shard, instance ids the rule selects) per bag, and how many
+        bags were skipped because their shard is unavailable."""
+        picks = []
         skipped = 0
-        for bag_id in relevant:
+        for bag_id in bag_ids:
             try:
                 shard = self.corpus.shard_for_bag(bag_id)
             except ShardUnavailableError:
@@ -1109,13 +1144,23 @@ class ShardedRetrievalEngine:
                     raise
                 skipped += 1
                 continue
-            ids.extend(self.rule.select(shard.bag_ranked_ids[bag_id]))
-        self._training_bags_skipped = skipped
-        if skipped:
-            get_telemetry().event(
-                "sharded.training_bags_skipped", level="warning",
-                skipped=skipped, relevant=len(relevant))
-        return ids
+            picks.append(
+                (shard, list(self.rule.select(shard.bag_ranked_ids[bag_id]))))
+        return picks, skipped
+
+    def _training_blocks(self, picks) -> list[np.ndarray]:
+        """One block of TS matrices per pick, as the rule reads them:
+        one gather per shard, sliced per bag."""
+        blocks: list[np.ndarray] = []
+        for shard, group in groupby(picks, key=itemgetter(0)):
+            chosen = [ids for _, ids in group]
+            matrices = shard.ts_matrices(
+                [shard.row_of(i) for ids in chosen for i in ids],
+                standardized=self.rule.standardized)
+            ends = np.cumsum([len(ids) for ids in chosen])
+            blocks += [matrices[end - len(ids):end]
+                       for ids, end in zip(chosen, ends)]
+        return blocks
 
     def _query_vectors_raw(self) -> np.ndarray | None:
         """Raw feature rows of the current training instances — the IVF
@@ -1145,41 +1190,39 @@ class ShardedRetrievalEngine:
         return self._round_queries
 
     def _retrain(self) -> None:
-        relevant = self.relevant_bag_ids
-        training_ids = self._training_instance_ids(relevant)
-        self._training_ids = list(training_ids)
+        self.is_trained = False
         self._round_queries = None
-        if not training_ids:
+        relevant = self.relevant_bag_ids
+        # Relevant bags on a dead shard (degraded mode) give the rule no
+        # block: Eq. 9 then counts only the bags that contributed
+        # training rows, so nu keeps its meaning.
+        picks, skipped = self._training_picks(relevant)
+        self._training_bags_skipped = skipped
+        if skipped:
+            get_telemetry().event(
+                "sharded.training_bags_skipped", level="warning",
+                skipped=skipped, relevant=len(relevant))
+        self._training_ids = [i for _, ids in picks for i in ids]
+        if not self._training_ids:
             self.rule.reset()
             return
         self._ensure_standardized()
-        x = self._standardized_rows(training_ids)
-        # Eq. (9) over the bags that actually contributed training
-        # rows: in degraded mode relevant bags on a dead shard are
-        # excluded from both numerator and training set, so nu keeps
-        # its meaning; with every shard healthy this is len(relevant).
-        included = len(relevant) - self._training_bags_skipped
-        self.last_nu_ = self.rule.fit(x, training_ids, included)
-        self.training_size_ = len(training_ids)
+        negative = []
+        if self.rule.negatives:
+            negative = self._training_blocks(
+                self._training_picks(self.irrelevant_bag_ids)[0])
+        self.last_nu_ = self.rule.fit(self._training_blocks(picks),
+                                      negative, self._training_ids)
+        self.training_size_ = len(self._training_ids)
+        self.is_trained = True
 
     # -- per-shard scoring -------------------------------------------------
-    def _shard_decisions(self, shard: CorpusShard) -> np.ndarray:
-        """Exact SVM decision values of every instance of one shard."""
-        if shard.matrix is None:
-            return np.empty(0)
-        assert shard.gram_cache is not None
-        rule, cache = self.rule, shard.gram_cache
-        kernel = rule.model.kernel_
-        cache.ensure_vectors(kernel, rule.support_ids, rule.support_x)
-        return rule.decisions(cache.cross(rule.support_ids),
-                              lambda: cache.diag(kernel))
-
     def _full_shard_scores(self, shard: CorpusShard) -> np.ndarray:
-        """Exact SVM scores for every bag of one shard (layout order)."""
+        """Exact rule scores for every bag of one shard (layout order)."""
         scores = np.full(shard.n_bags, -np.inf)
         if shard.matrix is None:
             return scores
-        decisions = self._shard_decisions(shard)
+        decisions = self.rule.decisions(shard)
         non_empty = shard.bag_sizes > 0
         if non_empty.any():
             scores[non_empty] = np.maximum.reduceat(
@@ -1188,12 +1231,10 @@ class ShardedRetrievalEngine:
 
     def _candidate_shard_scores(self, shard: CorpusShard,
                                 positions: np.ndarray) -> np.ndarray:
-        """Exact SVM scores for the candidate bags only (one small
-        kernel block instead of the whole shard)."""
+        """Exact rule scores for the candidate bags only."""
         scores = np.full(len(positions), -np.inf)
         if shard.matrix is None:
             return scores
-        rule = self.rule
         sizes = shard.bag_sizes[positions]
         keep = sizes > 0
         if not keep.any():
@@ -1204,14 +1245,7 @@ class ShardedRetrievalEngine:
         # gather them all with a single arange + per-segment offset.
         rows = np.arange(int(counts.sum())) + np.repeat(
             shard.bag_starts[positions][keep] - seg_starts, counts)
-        sub = shard.matrix[rows]
-        kernel = rule.model.kernel_
-        if isinstance(kernel, RBFKernel):
-            cross = kernel.compute_blocked(sub, rule.support_x,
-                                           b_sq=rule.support_sq)
-        else:
-            cross = kernel.compute_blocked(sub, rule.support_x)
-        decisions = rule.decisions(cross, lambda: kernel.diag(sub))
+        decisions = self.rule.decisions(shard, rows)
         scores[keep] = np.maximum.reduceat(decisions, seg_starts)
         return scores
 
@@ -1263,8 +1297,9 @@ class ShardedRetrievalEngine:
                 with obs.span("sharded.shard.score",
                               clip=shard.clip_id,
                               n_bags=shard.n_bags) as shard_sp:
-                    # Held across nominate + ensure_vectors + cross:
-                    # GramCache has no internal locking, and the
+                    # Held across nominate + the rule's scoring: the
+                    # One-class SVM rule fills and reads the shard's
+                    # GramCache, which has no internal locking, and the
                     # fill/read pair must be atomic when concurrent
                     # sessions share this shard's cache.
                     with shard.lock:
@@ -1388,10 +1423,10 @@ class ShardedRetrievalEngine:
     def _instance_values(self, shard: CorpusShard) -> np.ndarray:
         """Current relevance of one shard's instances (layout order):
         the initial scores before any model, decision values after."""
-        if not self.is_trained:
+        if not self.is_trained or shard.matrix is None:
             return shard.heuristic_instances
         with shard.lock:
-            return self._shard_decisions(shard)
+            return self.rule.decisions(shard)
 
     def bag_scores(self) -> np.ndarray:
         """Scores indexed by global bag id (higher = more relevant).

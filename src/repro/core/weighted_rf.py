@@ -12,14 +12,16 @@ implemented.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.core.bags import MILDataset
-from repro.core.base import RetrievalEngine
+from repro.core.engine import MILRetrievalEngine
 from repro.core.heuristics import instance_point_scores
 from repro.errors import ConfigurationError
 
-__all__ = ["WeightedRFEngine", "normalize_weights"]
+__all__ = ["WeightedRFEngine", "WeightedRFRule", "normalize_weights"]
 
 _NORMALIZATIONS = ("percentage", "linear", "none")
 _STD_FLOOR = 1e-6
@@ -51,38 +53,51 @@ def normalize_weights(weights: np.ndarray, method: str) -> np.ndarray:
     )
 
 
-class WeightedRFEngine(RetrievalEngine):
-    """Query re-weighting RF: w_f = 1/std_f over relevant feature rows."""
+class WeightedRFRule:
+    """Query re-weighting RF: w_f = 1/std_f over relevant feature rows.
 
-    def __init__(self, dataset: MILDataset, *,
-                 normalization: str = "percentage") -> None:
-        super().__init__(dataset)
+    ``weights_`` stays ``None`` until the first fit; "the initial weights
+    of the three features are all 1s", which is the heuristic ranking
+    the engine keeps until then.
+    """
+
+    standardized = False
+    negatives = False
+
+    def __init__(self, *, normalization: str = "percentage") -> None:
         if normalization not in _NORMALIZATIONS:
             raise ConfigurationError(
                 f"unknown normalization {normalization!r}; expected one of "
                 f"{_NORMALIZATIONS}"
             )
         self.normalization = normalization
-        n_features = len(dataset.feature_names)
-        # "The initial weights of the three features are all 1s."
-        self.weights_ = np.ones(n_features)
+        self.reset()
 
-    def _retrain(self) -> None:
-        rows = [
-            inst.matrix
-            for bag_id in self.relevant_bag_ids
-            for inst in self.dataset.bag_by_id(bag_id).instances
-        ]
-        if not rows:
-            return
-        stacked = np.vstack(rows)  # every sampling point of relevant TSs
-        std = stacked.std(axis=0)
-        raw = 1.0 / np.maximum(std, _STD_FLOOR)
+    def reset(self) -> None:
+        self.weights_: np.ndarray | None = None
+
+    def select(self, ranked: Sequence[int]) -> list[int]:
+        """Every TS of the bag, in layout order."""
+        return sorted(ranked)
+
+    def fit(self, positive: list[np.ndarray], negative: list[np.ndarray],
+            ids: list[int]) -> None:
+        # Every sampling point of the relevant TSs.
+        points = np.concatenate(positive).reshape(-1, positive[0].shape[2])
+        raw = 1.0 / np.maximum(points.std(axis=0), _STD_FLOOR)
         self.weights_ = normalize_weights(raw, self.normalization)
 
-    def _instance_scores(self) -> dict[int, float]:
-        scores: dict[int, float] = {}
-        for inst in self.dataset.all_instances():
-            points = instance_point_scores(inst.matrix, self.weights_)
-            scores[inst.instance_id] = float(points.max())
-        return scores
+    def decisions(self, shard, rows: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """Each TS's best weighted square sum over its sampling points."""
+        matrices = shard.ts_matrices(rows, standardized=False)
+        return instance_point_scores(matrices, self.weights_).max(axis=1)
+
+
+class WeightedRFEngine(MILRetrievalEngine):
+    """The MIL engine over :class:`WeightedRFRule`."""
+
+    def __init__(self, dataset: MILDataset, *,
+                 normalization: str = "percentage") -> None:
+        super().__init__(dataset, rule=WeightedRFRule,
+                         normalization=normalization)

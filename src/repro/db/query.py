@@ -10,7 +10,7 @@ that relevance is user-specific).
 Multi-clip queries (:class:`MultiClipQuerySession`) run on the sharded
 corpus (see :mod:`repro.core.sharded`): clips stay per-shard instead of
 being merged into one monolithic dataset, and an optional heuristic
-prefilter bounds how many bags per shard the one-class SVM scores
+prefilter bounds how many bags per shard the learning rule scores
 exactly each round.
 """
 
@@ -19,9 +19,10 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from functools import partial
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.core.engine import MILRetrievalEngine
+from repro.core.rule import OneClassRule
 from repro.core.sharded import (
     CoverageReport,
     IVFNominator,
@@ -29,7 +30,7 @@ from repro.core.sharded import (
     ShardedRetrievalEngine,
     ShardSpec,
 )
-from repro.core.weighted_rf import WeightedRFEngine
+from repro.core.weighted_rf import WeightedRFRule
 from repro.db.database import VideoDatabase
 from repro.db.schema import LabelRecord
 from repro.errors import ConfigurationError, SessionConflictError, StorageError
@@ -39,9 +40,11 @@ from repro.reliability.retry import RetryPolicy
 __all__ = ["SemanticQuerySession", "MultiClipQuerySession",
            "sharded_corpus", "ENGINE_FACTORIES"]
 
+#: Engine name -> the learning rule the session's engine runs; a
+#: session's ``engine_kwargs`` configure the engine and its rule.
 ENGINE_FACTORIES = {
-    "mil_ocsvm": MILRetrievalEngine,
-    "weighted_rf": WeightedRFEngine,
+    "mil_ocsvm": OneClassRule,
+    "weighted_rf": WeightedRFRule,
 }
 
 
@@ -91,8 +94,11 @@ class _QuerySessionBase:
 
     ``corpus_id`` is the label-table key the feedback is stored under —
     the clip id for single-clip sessions, a derived stable id for merged
-    corpora.
+    corpora.  An engine name builds :attr:`engine_type` over ``dataset``
+    with the name's rule; an engine instance is used as it is.
     """
+
+    engine_type: type[ShardedRetrievalEngine] = MILRetrievalEngine
 
     def __init__(
         self,
@@ -105,7 +111,6 @@ class _QuerySessionBase:
         engine="mil_ocsvm",
         top_k: int = 20,
         engine_kwargs: dict | None = None,
-        engine_factory: Callable[[], object] | None = None,
         ledger: bool = True,
         profiler: TailProfiler | float | None = None,
         query_id: str | None = None,
@@ -144,24 +149,22 @@ class _QuerySessionBase:
         #: shared by service worker threads without interleaving a feed
         #: mid-retrain with a ranking read.
         self._round_lock = threading.RLock()
+        #: Rebuilds a fresh, unfed engine over the same corpus — what
+        #: :meth:`resync` replays the stored history into.  ``None``
+        #: for externally-owned engine instances.
+        self._engine_factory = None
         if isinstance(engine, str):
             try:
-                factory = ENGINE_FACTORIES[engine]
+                rule = ENGINE_FACTORIES[engine]
             except KeyError:
                 raise ConfigurationError(
                     f"unknown engine {engine!r}; available: "
                     f"{sorted(ENGINE_FACTORIES)}"
                 ) from None
-            built_kwargs = dict(engine_kwargs or {})
-            engine_factory = engine_factory or (
-                lambda: factory(self.dataset, **built_kwargs))
-            self.engine = engine_factory()
-        else:
-            self.engine = engine
-        #: Rebuilds a fresh, unfed engine over the same corpus — what
-        #: :meth:`resync` replays the stored history into.  ``None``
-        #: for externally-owned engine instances.
-        self._engine_factory = engine_factory
+            self._engine_factory = partial(
+                self.engine_type, dataset, rule=rule, **(engine_kwargs or {}))
+            engine = self._engine_factory()
+        self.engine = engine
         #: Set when a label write failed after the engine took the
         #: labels; the next round resyncs before it ranks.
         self._stale = False
@@ -192,14 +195,13 @@ class _QuerySessionBase:
         fresh engine is built (same corpus — shard Gram caches are
         reused) and the winning history replayed into it; returns the
         next round index.  Requires the session to own its engine
-        construction (an engine *name* or ``engine_factory``).
+        construction (an engine *name*).
         """
         with self._round_lock:
             if self._engine_factory is None:
                 raise ConfigurationError(
                     "cannot resync a session built around an externally-"
-                    "owned engine instance; pass an engine name or an "
-                    "engine_factory")
+                    "owned engine instance; pass an engine name")
             engine = self._engine_factory()
             self.round_index = self._replay_stored(engine)
             self.engine = engine
@@ -354,7 +356,7 @@ class _QuerySessionBase:
         at least one Trajectory Sequence of a vehicle with that stored
         class ("accidents involving trucks") — combining the metadata and
         semantic sides of the database.  The ranking is walked lazily
-        (:meth:`RetrievalEngine.rank_iter`) and stops at ``top_k``
+        (:meth:`ShardedRetrievalEngine.rank_iter`) and stops at ``top_k``
         matches, so clips past the cut are neither scored globally nor
         have their metadata fetched.
         """
@@ -385,8 +387,8 @@ class _QuerySessionBase:
     def feed(self, labels: Mapping[int, bool]) -> None:
         """Apply one round of user feedback; persists and retrains.
 
-        The engine goes first: ``RetrievalEngine.feed`` validates bag
-        ids before mutating anything, so a rejected round (e.g. an
+        The engine goes first: ``ShardedRetrievalEngine.feed`` validates
+        bag ids before mutating anything, so a rejected round (e.g. an
         unknown bag id) leaves both the engine and the stored label
         history untouched — persisting first would desync the two
         permanently and make resume replay labels the engine never
@@ -461,15 +463,14 @@ class MultiClipQuerySession(_QuerySessionBase):
     (:class:`~repro.core.sharded.ShardedRetrievalEngine`): shards load
     lazily, each ranking round merges per-shard rankings, and
     ``candidates_per_shard=M`` caps how many bags per shard the
-    one-class SVM scores exactly (the rest keep their cheap heuristic
+    learning rule scores exactly (the rest keep their cheap heuristic
     order after all candidates — a recall/latency knob).  With
     ``candidates_per_shard=None`` the ranking matches the engine over
-    the :func:`~repro.core.bags.merge_datasets` corpus.
-    ``nominator="ivf"`` switches stage one from the static heuristic
-    prefilter to a probe of each shard's IVF index (``index_cells`` /
-    ``nprobe`` tune it) — sublinear nomination with the same exact
-    rerank.  The engine is always ``"mil_ocsvm"``; Weighted-RF runs on
-    single-clip sessions only.
+    the :func:`~repro.core.bags.merge_datasets` corpus, for either
+    engine name.  ``nominator="ivf"`` switches stage one from the static
+    heuristic prefilter to a probe of each shard's IVF index
+    (``index_cells`` / ``nprobe`` tune it) — sublinear nomination with
+    the same exact rerank.
 
     ``failure_policy`` picks what happens when a member clip's storage
     fails mid-session: ``"strict"`` (default) raises
@@ -480,6 +481,8 @@ class MultiClipQuerySession(_QuerySessionBase):
     ``retry_policy`` backoff schedule and rejoin automatically once
     their artifacts heal.
     """
+
+    engine_type = ShardedRetrievalEngine
 
     def __init__(
         self,
@@ -495,17 +498,11 @@ class MultiClipQuerySession(_QuerySessionBase):
         retry_policy: RetryPolicy | None = None,
         clock=None,
         corpus: ShardedCorpus | None = None,
-        engine="mil_ocsvm",
         engine_kwargs: dict | None = None,
         **kwargs,
     ) -> None:
         if not clip_ids:
             raise ConfigurationError("need >= 1 clip id")
-        if engine != "mil_ocsvm":
-            raise ConfigurationError(
-                f"multi-clip sessions run the 'mil_ocsvm' engine over the "
-                f"sharded corpus, got engine={engine!r}; Weighted-RF runs "
-                f"on single-clip sessions only")
         if (nprobe is not None or index_cells is not None) \
                 and nominator != "ivf":
             raise ConfigurationError(
@@ -536,11 +533,8 @@ class MultiClipQuerySession(_QuerySessionBase):
                          "failure_policy": failure_policy,
                          **(engine_kwargs or {}),
                          "candidates_per_shard": candidates_per_shard}
-        super().__init__(
-            db, corpus_id, event_name, corpus,
-            engine_factory=partial(ShardedRetrievalEngine, corpus,
-                                   **engine_kwargs),
-            **kwargs)
+        super().__init__(db, corpus_id, event_name, corpus,
+                         engine_kwargs=engine_kwargs, **kwargs)
 
     def _before_round(self) -> None:
         """Pick up bags a streaming ingest appended since the last round.

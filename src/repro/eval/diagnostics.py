@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.base import RetrievalEngine
+from repro.core.sharded import ShardedRetrievalEngine
 from repro.errors import ConfigurationError
 from repro.eval.pipeline import ClipArtifacts
 from repro.sim.ground_truth import TrackMatcher
@@ -58,7 +58,7 @@ def _track_to_vehicle(artifacts: ClipArtifacts) -> dict[int, int | None]:
 
 def evaluate_instance_discovery(
     artifacts: ClipArtifacts,
-    engine: RetrievalEngine,
+    engine: ShardedRetrievalEngine,
     *,
     kinds: Iterable[str] | None = None,
 ) -> InstanceDiscovery:

@@ -12,8 +12,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.core.base import RetrievalEngine
 from repro.core.feedback import OracleUser, RetrievalSession
+from repro.core.sharded import ShardedRetrievalEngine
 from repro.eval.metrics import overall_gain
 from repro.eval.pipeline import ClipArtifacts
 from repro.errors import ConfigurationError
@@ -77,7 +77,7 @@ class MultiSeedResult:
 
 def run_protocol_multi(
     artifacts_for_seed: Callable[[int], ClipArtifacts],
-    engine_factory: Callable[..., RetrievalEngine],
+    engine_factory: Callable[..., ShardedRetrievalEngine],
     *,
     seeds: Iterable[int],
     method: str = "",
@@ -108,7 +108,7 @@ def run_protocol_multi(
 
 def run_protocol(
     artifacts: ClipArtifacts,
-    engine_factory: Callable[..., RetrievalEngine],
+    engine_factory: Callable[..., ShardedRetrievalEngine],
     *,
     method: str = "",
     rounds: int = 5,
@@ -132,14 +132,11 @@ def run_protocol(
     session.run(rounds)
     n_relevant = artifacts.ground_truth.n_relevant_windows(
         artifacts.dataset.frame_windows(), kinds)
-    extras = {}
-    if hasattr(engine, "last_nu_"):
-        extras["last_nu"] = engine.last_nu_
     return ProtocolResult(
         method=method or type(engine).__name__,
         accuracies=session.accuracies(),
         n_relevant_total=int(n_relevant),
         n_bags=len(artifacts.dataset.bags),
         top_k=top_k,
-        extras=extras,
+        extras={"last_nu": engine.last_nu_},
     )

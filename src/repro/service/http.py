@@ -120,6 +120,7 @@ class RetrievalHTTPServer:
                 self._client, self.host, self.requested_port))
         except OSError as exc:
             self._startup_error = exc
+            self._loop.close()
             self._started.set()
             return
         self._bound_port = server.sockets[0].getsockname()[1]

@@ -9,8 +9,9 @@ per-row squared norms, and caches the full database column
 ``K(X, v)`` for every support vector ``v`` it has been asked for.
 
 Across rounds the training set mostly *grows* (labels accumulate, see
-``RetrievalEngine.feed``), so a warm round computes kernel columns only
-for newly seen support vectors; the scoring block is then a pure gather:
+``ShardedRetrievalEngine.feed``), so a warm round computes kernel columns
+only for newly seen support vectors; the scoring block is then a pure
+gather:
 
 * scoring block  ``K(X, support) = columns[:, support_ids]``
 

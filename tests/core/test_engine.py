@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
+from repro.core import (
+    DiverseDensityEngine,
+    EMDDEngine,
+    MILRetrievalEngine,
+    OracleUser,
+    RetrievalSession,
+    WeightedRFEngine,
+)
 from repro.core.rule import parse_policy
 from repro.errors import ConfigurationError
 from tests.core.conftest import make_toy
@@ -60,6 +67,21 @@ class TestFeedback:
         ds, _ = toy
         with pytest.raises(ConfigurationError, match="unknown bag"):
             MILRetrievalEngine(ds).feed({9999: True})
+
+    @pytest.mark.parametrize("engine_cls", [
+        MILRetrievalEngine, WeightedRFEngine, DiverseDensityEngine,
+        EMDDEngine])
+    @pytest.mark.parametrize("bad", [1.5, "3", "x"])
+    def test_non_integer_bag_ids_rejected(self, toy, engine_cls, bad):
+        """A float or string key never labels a bag (``1.5`` used to
+        label bag 1): the round is rejected before any state changes."""
+        ds, _ = toy
+        engine = engine_cls(ds)
+        engine.feed({np.int64(4): False})
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            engine.feed({2: True, bad: True})
+        assert engine.labels == {4: False}
+        assert not engine.is_trained
 
     def test_no_relevant_feedback_keeps_heuristic(self, toy):
         ds, _ = toy

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
-from repro.core.base import InstanceExplanation
+from repro.core.sharded import InstanceExplanation
 from repro.errors import ConfigurationError
 from tests.core.conftest import make_toy
 

@@ -69,11 +69,11 @@ class TestEngines:
         for bag in ds.bags[:12]:
             labels[bag.bag_id] = gt.label_window(bag.frame_lo, bag.frame_hi)
         engine.feed(labels)
-        assert engine.hypothesis_ is not None
-        target, scales = engine.hypothesis_
+        assert engine.rule.hypothesis_ is not None
+        target, scales = engine.rule.hypothesis_
         assert target.shape == (9,)
         assert scales.shape == (9,)
-        assert np.isfinite(engine.nll_)
+        assert np.isfinite(engine.rule.nll_)
 
     @pytest.mark.parametrize("engine_cls", [DiverseDensityEngine, EMDDEngine])
     def test_heuristic_until_relevant_feedback(self, engine_cls, toy):
@@ -101,3 +101,13 @@ class TestEngines:
 
         with pytest.raises(ConfigurationError):
             DiverseDensityEngine(ds, max_starts=0)
+
+    @pytest.mark.parametrize("em_iterations", [0, -1])
+    def test_em_iterations_validated(self, toy, em_iterations):
+        """Fewer than one EM iteration keeps no start: rejected up front
+        instead of failing the first feed with a bare AssertionError."""
+        ds, _ = toy
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="em_iterations"):
+            EMDDEngine(ds, em_iterations=em_iterations)

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import OracleUser, RetrievalSession, WeightedRFEngine
+from repro.core import (
+    OracleUser,
+    RetrievalSession,
+    WeightedRFEngine,
+    heuristic_scores,
+)
 from repro.core.weighted_rf import normalize_weights
 from repro.errors import ConfigurationError
 from tests.core.conftest import make_toy
@@ -39,9 +44,15 @@ class TestNormalizeWeights:
 
 class TestWeightedRFEngine:
     def test_initial_weights_are_ones(self, toy):
+        """Before any fit the engine ranks by the heuristic, which is the
+        rule under all-ones weights, bit for bit."""
         ds, _ = toy
         engine = WeightedRFEngine(ds)
-        assert np.array_equal(engine.weights_, np.ones(3))
+        assert engine.rule.weights_ is None
+        assert np.array_equal(engine.bag_scores(), heuristic_scores(ds)[0])
+        engine.rule.weights_ = np.ones(3)
+        assert np.array_equal(engine.rule.decisions(engine.shard),
+                              engine.shard.heuristic_instances)
 
     def test_initial_ranking_equals_mil_initial(self, toy):
         """Both methods share the Initial round (paper Section 6.2)."""
@@ -56,16 +67,18 @@ class TestWeightedRFEngine:
         rel = [b.bag_id for b in ds.bags
                if gt.label_window(b.frame_lo, b.frame_hi)][:4]
         engine.feed({b: True for b in rel})
-        assert not np.array_equal(engine.weights_, np.ones(3))
-        assert engine.weights_.sum() == pytest.approx(1.0)  # percentage
+        assert not np.array_equal(engine.rule.weights_, np.ones(3))
+        assert engine.rule.weights_.sum() == pytest.approx(1.0)  # percentage
 
     def test_irrelevant_only_feedback_keeps_weights(self, toy):
         ds, gt = toy
         engine = WeightedRFEngine(ds)
+        before = engine.rank()
         irrel = [b.bag_id for b in ds.bags
                  if not gt.label_window(b.frame_lo, b.frame_hi)][:4]
         engine.feed({b: False for b in irrel})
-        assert np.array_equal(engine.weights_, np.ones(3))
+        assert engine.rule.weights_ is None
+        assert engine.rank() == before
 
     def test_low_variance_feature_gets_high_weight(self, toy):
         ds, gt = toy
@@ -75,7 +88,7 @@ class TestWeightedRFEngine:
         engine.feed({b: True for b in rel})
         # Relevant instances vary most in vdiff (the spike feature), so
         # vdiff gets the SMALLEST weight: the baseline's known blind spot.
-        assert engine.weights_[1] == min(engine.weights_)
+        assert engine.rule.weights_[1] == min(engine.rule.weights_)
 
     @pytest.mark.parametrize("norm", ["percentage", "linear", "none"])
     def test_all_normalizations_run(self, toy, norm):

@@ -1,8 +1,14 @@
 """Tests for multi-clip (whole-database) query sessions."""
 
+import numpy as np
 import pytest
 
-from repro.core import MILRetrievalEngine, MultiClipOracle, merge_datasets
+from repro.core import (
+    MILRetrievalEngine,
+    MultiClipOracle,
+    WeightedRFEngine,
+    merge_datasets,
+)
 from repro.db import MultiClipQuerySession, VideoDatabase
 from repro.db.schema import ClipRecord
 from repro.errors import ConfigurationError
@@ -170,16 +176,32 @@ class TestShardedSession:
             MultiClipQuerySession(db, clip_ids, "accident",
                                   nominator="faiss")
 
-    def test_weighted_rf_engine_rejected(self, two_clip_db, small_tunnel,
-                                         small_intersection):
-        db, _ = two_clip_db
+    def test_weighted_rf_matches_merged_weighted_rf(
+            self, two_clip_db, small_tunnel, small_intersection):
+        """An engine name only selects the rule: a multi-clip Weighted-RF
+        session ranks and scores like Weighted-RF over the merged
+        dataset, round for round."""
+        db, truths = two_clip_db
         clip_ids = [small_tunnel.name, small_intersection.name]
-        for extra in ({}, {"nominator": "ivf"},
-                      {"candidates_per_shard": 2}):
-            with pytest.raises(ConfigurationError,
-                               match="single-clip sessions only"):
-                MultiClipQuerySession(db, clip_ids, "accident",
-                                      engine="weighted_rf", **extra)
+        sharded = MultiClipQuerySession(db, clip_ids, "accident",
+                                        user_id="w", top_k=10,
+                                        engine="weighted_rf")
+        merged = WeightedRFEngine(merge_datasets(
+            [db.dataset(c, "accident") for c in clip_ids],
+            merged_id=sharded.corpus_id))
+        oracle = MultiClipOracle(truths)
+        for _ in range(4):
+            results = sharded.results()
+            assert merged.top_k(10) == results
+            assert np.array_equal(merged.bag_scores(),
+                                  sharded.engine.bag_scores())
+            labels = oracle.label_bags(
+                [sharded.dataset.bag_by_id(b) for b in results])
+            sharded.feed(labels)
+            merged.feed(labels)
+        assert sharded.engine.is_trained
+        assert np.array_equal(merged.rule.weights_,
+                              sharded.engine.rule.weights_)
 
     def test_incompatible_datasets_rejected(self, two_clip_db,
                                             small_tunnel,

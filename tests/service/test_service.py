@@ -1,6 +1,7 @@
 """Multi-tenant retrieval service: routing, session lifecycle,
 cross-worker resume, corpus sharing, and the HTTP front end."""
 
+import asyncio
 import http.client
 import json
 import threading
@@ -108,6 +109,23 @@ class TestSessionLifecycle:
         assert all("spans" not in r and "profile" not in r
                    for r in doc["rounds"])
 
+    def test_weighted_rf_session(self, service, service_db):
+        """An engine name only selects the rule, so a multi-clip
+        Weighted-RF session is created, fed and resumed like any other."""
+        _, clips = service_db
+        status, doc = _create(service, clips, user="wren",
+                              engine="weighted_rf")
+        assert status == 201 and doc["engine"] == "weighted_rf"
+        sid = doc["session"]
+        status, doc = _label_round(service, sid)
+        assert status == 200 and doc["round"] == 1
+        assert service._sessions[sid].session.engine.rule.weights_ \
+            is not None
+        ranked = _call(service, "GET", f"/sessions/{sid}/results")[1]
+        assert _call(service, "DELETE", f"/sessions/{sid}")[0] == 200
+        status, resumed = _call(service, "GET", f"/sessions/{sid}/results")
+        assert status == 200 and resumed == ranked
+
     def test_recreate_resumes_in_place(self, service, service_db):
         _, clips = service_db
         status, doc = _create(service, clips, user="drew")
@@ -164,7 +182,6 @@ _MALFORMED = [
      {"params": {"candidates_per_shard": "x"}}),
     ("create-nprobe-text", "POST", "/sessions",
      {"params": {"nominator": "ivf", "nprobe": "x"}}),
-    ("create-weighted-rf", "POST", "/sessions", {"engine": "weighted_rf"}),
     ("results-top_k-text", "GET", "/sessions/{sid}/results?top_k=abc",
      None),
     ("explain-round-text", "GET", "/sessions/{sid}/explain?round=x", None),
@@ -387,11 +404,20 @@ class TestHTTPServer:
             raw.close()
         svc.close()
 
-    def test_port_conflict_raises(self, service_db):
+    def test_port_conflict_raises(self, service_db, monkeypatch):
         path, _clips = service_db
         svc = RetrievalService(path)
+        loops = []
+        new_event_loop = asyncio.new_event_loop
+
+        def tracked_loop():
+            loops.append(new_event_loop())
+            return loops[-1]
+
         with RetrievalHTTPServer(svc, port=0) as server:
             other = RetrievalHTTPServer(svc, port=server.port)
+            monkeypatch.setattr(asyncio, "new_event_loop", tracked_loop)
             with pytest.raises(OSError):
                 other.start()
         svc.close()
+        assert len(loops) == 1 and loops[0].is_closed()

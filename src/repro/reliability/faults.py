@@ -4,9 +4,11 @@ The chaos suite (``tests/chaos``) needs to drive full
 ingest-while-querying runs under *reproducible* fault schedules: the
 same plan and seed must corrupt the same blob on the same call in every
 run, or a failing chaos test cannot be replayed.  So nothing here draws
-from global randomness — every decision is a pure function of
-``(seed, op, call_index)``, exactly the trick
-:class:`~repro.reliability.RetryPolicy` uses for jitter.
+from global randomness — every decision is a pure function of the seed,
+the rule and the call's index among the calls that rule matches,
+exactly the trick :class:`~repro.reliability.RetryPolicy` uses for
+jitter.  A rule counts only its own matches, so adding or removing a
+statement it does not match leaves its schedule where it was.
 
 Three seams are wrappable, matching the system's real failure domains:
 
@@ -51,14 +53,16 @@ FAULT_OPS = ("store.load", "store.save", "store.has",
 class FaultRule:
     """One deterministic fault schedule for one operation seam.
 
-    ``rate`` fires probabilistically (hash of seed/op/call — the same
-    calls fire for the same seed, run after run); ``calls`` names
-    explicit 1-based call indexes that always fire.  ``key_substring``
-    restricts the rule to operations whose key (artifact key, clip id,
-    SQL text) contains it.  ``after`` skips the first N calls —
-    "healthy warm-up, then faults" schedules.  ``limit`` caps how many
-    times the rule fires in total (``None`` = unbounded): faults that
-    *clear* after a while are how recovery paths get tested.
+    ``key_substring`` restricts the rule to operations whose key
+    (artifact key, clip id, SQL text) contains it, and the rule's
+    schedule counts only the calls it matches.  ``rate`` fires
+    probabilistically (hash of seed/op/match index — the same calls
+    fire for the same seed, run after run); ``calls`` names explicit
+    1-based match indexes that always fire.  ``after`` skips the first
+    N matched calls — "healthy warm-up, then faults" schedules.
+    ``limit`` caps how many times the rule fires in total (``None`` =
+    unbounded): faults that *clear* after a while are how recovery
+    paths get tested.
     """
 
     op: str
@@ -93,10 +97,10 @@ class FaultRule:
 class FaultPlan:
     """A seeded, ordered set of :class:`FaultRule`\\ s.
 
-    Rules are consulted in order; the first one that matches an
-    operation fires.  The decision for call ``n`` of operation ``op``
-    is a pure function of ``(seed, rule position, op, n)`` — no global
-    RNG, so a chaos run replays exactly.
+    Rules are consulted in order; the first one whose schedule fires
+    for an operation wins.  The decision for the ``n``-th call a rule
+    matches is a pure function of ``(seed, rule position, op, n)`` — no
+    global RNG, so a chaos run replays exactly.
     """
 
     def __init__(self, rules: list[FaultRule] | tuple[FaultRule, ...] = (),
@@ -111,27 +115,35 @@ class FaultPlan:
         return int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
 
     def decide(self, op: str, key: str, call_index: int,
-               fired_so_far) -> FaultRule | None:
+               fired_so_far, matched_so_far=None) -> FaultRule | None:
         """The rule that fires for this call, if any.
 
-        ``fired_so_far`` maps rule position -> times fired, so
-        ``limit`` caps can be enforced without the plan keeping state
-        (the injector owns the counters).
+        A rule reads ``after``, ``calls`` and ``rate`` against the
+        call's index among the calls it matches (its ``op``, a key
+        containing its ``key_substring``), so calls outside a rule's
+        filter never move its schedule.  ``matched_so_far`` maps rule
+        position -> calls matched so far and is advanced here; without
+        it every rule takes ``call_index`` as that index.
+        ``fired_so_far`` maps rule position -> times fired, so ``limit``
+        caps can be enforced without the plan keeping state (the
+        injector owns both counters).
         """
+        fired = None
         for i, rule in enumerate(self.rules):
-            if rule.op != op:
+            if rule.op != op or rule.key_substring not in key:
                 continue
-            if rule.key_substring and rule.key_substring not in key:
-                continue
-            if call_index <= rule.after:
+            if matched_so_far is None:
+                index = call_index
+            else:
+                index = matched_so_far[i] = matched_so_far.get(i, 0) + 1
+            if fired is not None or index <= rule.after:
                 continue
             if rule.limit is not None and fired_so_far.get(i, 0) >= rule.limit:
                 continue
-            if call_index in rule.calls:
-                return rule
-            if rule.rate and self._unit(i, op, call_index) < rule.rate:
-                return rule
-        return None
+            if index in rule.calls or (
+                    rule.rate and self._unit(i, op, index) < rule.rate):
+                fired = rule
+        return fired
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FaultPlan(seed={self.seed}, rules={len(self.rules)})"
@@ -161,6 +173,7 @@ class FaultInjector:
         self._sleep = sleep
         self._calls: dict[str, int] = {}
         self._fired: dict[int, int] = {}
+        self._matched: dict[int, int] = {}
         #: Every fault fired, in order — the chaos suite asserts on it.
         self.injected: list[InjectedFault] = []
         self.enabled = True
@@ -177,7 +190,8 @@ class FaultInjector:
             return None
         call_index = self._calls.get(op, 0) + 1
         self._calls[op] = call_index
-        rule = self.plan.decide(op, key, call_index, self._fired)
+        rule = self.plan.decide(op, key, call_index, self._fired,
+                                self._matched)
         if rule is None:
             return None
         rule_index = self.plan.rules.index(rule)

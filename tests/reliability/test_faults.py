@@ -7,6 +7,8 @@ faults must surface through the production error taxonomy
 from the catalog boundary), not as synthetic stand-ins.
 """
 
+import sqlite3
+
 import pytest
 
 from repro.db.database import VideoDatabase
@@ -116,6 +118,35 @@ class TestInjectorCore:
         assert injector.counts() == {"store.save": 2}
         assert get_telemetry().counter("faults.injected").value(
             op="store.save", kind="io-error") == 1
+
+    def test_rules_index_only_the_calls_they_match(self):
+        """Calls outside a rule's key filter never move its schedule:
+        ``calls``, ``after`` and ``rate`` read the rule's match index."""
+        def schedule(unmatched_between):
+            injector = FaultInjector(FaultPlan([
+                FaultRule(op="db.execute", kind="busy", calls=(2,),
+                          key_substring="FROM bags"),
+                FaultRule(op="db.execute", kind="busy", rate=0.5,
+                          after=1, key_substring="FROM instances"),
+            ], seed=3))
+            hits = []
+            for n in range(1, 41):
+                for _ in range(unmatched_between):
+                    injector.check("db.execute", key="SELECT 1")
+                key = "FROM bags" if n % 2 else "FROM instances"
+                try:
+                    injector.check("db.execute", key=key)
+                except sqlite3.OperationalError:
+                    hits.append(n)
+            return hits
+
+        hits = schedule(0)
+        assert schedule(1) == schedule(3) == hits
+        # The second "FROM bags" call is call 3; the first "FROM
+        # instances" call (call 2) is the skipped warm-up.
+        assert [n for n in hits if n % 2] == [3]
+        assert 2 not in hits
+        assert 3 <= len(hits) - 1 <= 17
 
     def test_latency_uses_injected_sleep(self):
         naps = []

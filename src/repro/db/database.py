@@ -92,8 +92,9 @@ CREATE TABLE IF NOT EXISTS labels (
     relevant    INTEGER NOT NULL,
     PRIMARY KEY (clip_id, event, bag_id, user_id, round_index)
 );
-CREATE INDEX IF NOT EXISTS idx_labels_query
-    ON labels (clip_id, event, user_id);
+CREATE INDEX IF NOT EXISTS idx_labels_head
+    ON labels (clip_id, event, user_id, round_index, bag_id, relevant);
+DROP INDEX IF EXISTS idx_labels_query;
 CREATE TABLE IF NOT EXISTS artifact_entries (
     key         TEXT PRIMARY KEY,
     clip_id     TEXT NOT NULL,
@@ -160,6 +161,11 @@ CREATE INDEX IF NOT EXISTS idx_sessions_user
     ON sessions (user_id, corpus_id, event);
 """
 
+
+#: The round guard's read: one tenant's latest stored round, which
+#: ``idx_labels_head`` answers without touching other tenants' labels.
+ROUND_HEAD_SQL = ("SELECT MAX(round_index) FROM labels"
+                  " WHERE clip_id=? AND event=? AND user_id=?")
 
 #: Legal per-segment ingest states, in normal progression order.
 INGEST_STATES = ("pending", "built", "appended", "failed")
@@ -772,9 +778,7 @@ class VideoDatabase:
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             row = self._conn.execute(
-                "SELECT MAX(round_index) FROM labels"
-                " WHERE clip_id=? AND event=? AND user_id=?",
-                (clip_id, event_name, user_id)).fetchone()
+                ROUND_HEAD_SQL, (clip_id, event_name, user_id)).fetchone()
             stored_next = (row[0] + 1) if row and row[0] is not None else 0
             if stored_next != expect_round:
                 raise SessionConflictError(

@@ -58,16 +58,42 @@ class Blob:
 
 def clean_mask(mask: np.ndarray, *, open_iterations: int = 1,
                close_iterations: int = 1) -> np.ndarray:
-    """Morphological cleanup: opening kills speckle, closing fills holes."""
+    """Morphological cleanup: opening kills speckle, closing fills holes.
+
+    Equal to ``ndimage.binary_opening`` then ``ndimage.binary_closing``
+    with their default cross-shaped structure and ``border_value=0``.
+    Each erosion (dilation) is the AND (OR) of a pixel and its four
+    neighbours, read as shifted slices of a False-padded copy of the
+    mask, so pixels outside the frame count as background.  The slices
+    are taken from the flattened copy, where the neighbours above and
+    below are one padded row away; flat slices run several times faster
+    than 2-D ones.  Opening's and closing's dilations run back to back.
+    """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise PipelineError(f"mask must be 2-D, got shape {mask.shape}")
-    out = mask
-    if open_iterations > 0:
-        out = ndimage.binary_opening(out, iterations=open_iterations)
-    if close_iterations > 0:
-        out = ndimage.binary_closing(out, iterations=close_iterations)
-    return out
+    for name, count in (("open_iterations", open_iterations),
+                        ("close_iterations", close_iterations)):
+        if not isinstance(count, (int, np.integer)) or count < 0:
+            raise PipelineError(
+                f"{name} must be a non-negative integer, got {count!r}")
+    steps = ([np.logical_and] * open_iterations
+             + [np.logical_or] * (open_iterations + close_iterations)
+             + [np.logical_and] * close_iterations)
+    height, width = mask.shape
+    row = width + 2
+    src, dst = np.zeros((2, height + 2, row), dtype=bool)
+    src[1:-1, 1:-1] = mask
+    lo, hi = row, (height + 1) * row  # the unpadded rows, flattened
+    for op in steps:
+        flat, out = src.ravel(), dst.ravel()[lo:hi]
+        op(flat[lo - row:hi - row], flat[lo + row:hi + row], out=out)
+        op(out, flat[lo - 1:hi - 1], out=out)
+        op(out, flat[lo + 1:hi + 1], out=out)
+        op(out, flat[lo:hi], out=out)
+        dst[:, [0, -1]] = False  # a dilation spills into the side padding
+        src, dst = dst, src
+    return src[1:-1, 1:-1].copy()
 
 
 def extract_blobs(mask: np.ndarray, frame: np.ndarray | None = None,

@@ -173,18 +173,19 @@ class _QuerySessionBase:
 
     def _replay_stored(self, engine) -> int:
         """Feed the stored label history into ``engine``; return the
-        next round index the history expects."""
-        stored = self.db.accumulated_labels(
-            self.corpus_id, self.event_name, self.user_id)
-        round_index = max(
-            (r.round_index + 1
-             for r in self.db.labels(self.corpus_id, self.event_name,
-                                     self.user_id)),
-            default=0,
-        )
-        if stored:
-            engine.feed(stored)
-        return round_index
+        next round index the history expects.
+
+        One read serves both: rows come in (round, bag) order, so the
+        last row holds the latest round and, as in
+        :meth:`~repro.db.database.VideoDatabase.accumulated_labels`,
+        later rounds overwrite a bag's earlier label.
+        """
+        history = self.db.labels(self.corpus_id, self.event_name,
+                                 self.user_id)
+        if not history:
+            return 0
+        engine.feed({rec.bag_id: rec.relevant for rec in history})
+        return history[-1].round_index + 1
 
     def resync(self) -> int:
         """Rebuild the engine from the stored label history.

@@ -93,6 +93,48 @@ class TestSemanticQuerySession:
             session.feed({})
 
 
+class TestResumeReadsHistoryOnce:
+    """Resume and resync read the stored label history in one query:
+    the latest label per bag and the next round come from the same
+    rows (they used to be read twice, through ``accumulated_labels``
+    and ``labels``)."""
+
+    @staticmethod
+    def _count_reads(monkeypatch, db):
+        calls = []
+        for method in ("labels", "accumulated_labels"):
+            original = getattr(db, method)
+
+            def counting(*args, _method=method, _original=original,
+                         **kwargs):
+                calls.append(_method)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(db, method, counting)
+        return calls
+
+    def test_resume_makes_one_labels_read(self, db_with_clip, small_tunnel,
+                                          monkeypatch):
+        db, gt = db_with_clip
+        first = SemanticQuerySession(db, small_tunnel.name, "accident",
+                                     user_id="once", top_k=8)
+        user = OracleUser(gt)
+        for _ in range(2):
+            bags = [first.dataset.bag_by_id(b) for b in first.results()]
+            first.feed(user.label_bags(bags))
+        calls = self._count_reads(monkeypatch, db)
+        resumed = SemanticQuerySession(db, small_tunnel.name, "accident",
+                                       user_id="once", top_k=8)
+        assert calls == ["labels"]
+        assert resumed.round_index == first.round_index == 2
+        assert resumed.engine.labels == db.accumulated_labels(
+            small_tunnel.name, "accident", "once")
+        assert resumed.results() == first.results()
+        calls.clear()
+        assert resumed.resync() == 2
+        assert calls == ["labels"]
+
+
 class TestFeedStateConsistency:
     """Regression: a feed round the engine rejects must leave the stored
     label history, the round counter, and the engine untouched — the old
@@ -189,7 +231,7 @@ class TestFailedLabelWrite:
                                                  monkeypatch):
         session, _, fresh = self._failed_feed(stored_tunnel, monkeypatch)
         db, _, _ = stored_tunnel
-        self._fail_once(monkeypatch, db, "accumulated_labels")
+        self._fail_once(monkeypatch, db, "labels")
         with pytest.raises(DatabaseBusyError):
             session.results()
         assert session.results() == fresh.results()

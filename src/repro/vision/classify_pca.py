@@ -10,6 +10,8 @@ nearest class centroid in eigenspace.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from repro.errors import ConfigurationError, NotFittedError
@@ -170,7 +172,8 @@ def classify_tracks(
     objects into different classes such as SUVs, pick-up trucks, and
     cars"): for each track, patches are cut from the clip around the
     tracked centroid at a few well-separated frames, classified in
-    eigenspace, and the majority class wins.  Tracks whose patches never
+    eigenspace, and the majority class wins; a tie goes to the class
+    voted at the earliest sampled frame.  Tracks whose patches never
     fit inside the frame are labelled ``"unknown"``.
     """
     check_positive("samples_per_track", samples_per_track)
@@ -196,8 +199,8 @@ def classify_tracks(
         if not patches:
             out[track.track_id] = "unknown"
             continue
-        votes = classifier.predict(patches)
-        out[track.track_id] = max(set(votes), key=votes.count)
+        votes = Counter(classifier.predict(patches))
+        out[track.track_id] = votes.most_common(1)[0][0]
     return out
 
 

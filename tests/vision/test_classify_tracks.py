@@ -1,8 +1,15 @@
 """Tests for track-level vehicle classification (Section 3.1, last phase)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.sim.ground_truth import TrackMatcher
 from repro.tracking import CentroidTracker
 from repro.vision import (
@@ -72,6 +79,66 @@ class TestClassifyTracks:
             track.add(f, blob)
         classes = classify_tracks(clip, [track], classifier)
         assert classes[0] == "unknown"
+
+
+#: Classifies 12 tracks with a stub whose three votes per track are
+#: three different classes, and prints the class map as JSON.
+TIED_VOTES_SCRIPT = """
+import json
+
+import numpy as np
+
+from repro.tracking import Track
+from repro.vision import VideoClip, classify_tracks
+from repro.vision.blobs import Blob
+
+NAMES = ["car", "suv", "truck", "van", "bus", "pickup"]
+
+
+class TiedVotes:
+    calls = 0
+
+    def predict(self, patches):
+        self.calls += 1
+        return [NAMES[(self.calls + i) % len(NAMES)]
+                for i in range(len(patches))]
+
+
+clip = VideoClip.from_array("tied", np.zeros((12, 64, 64), dtype=np.uint8))
+tracks = []
+for track_id in range(12):
+    track = Track(track_id)
+    for frame in range(12):
+        track.add(frame, Blob(cx=32.0, cy=32.0, x0=28, y0=28, x1=36, y1=36,
+                              area=64, mean_intensity=0.0))
+    tracks.append(track)
+print(json.dumps(classify_tracks(clip, tracks, TiedVotes())))
+"""
+
+
+class TestTiedVotes:
+    """A tied vote goes to the class voted at the earliest sampled frame.
+    It used to follow set iteration order, so the class map changed with
+    ``PYTHONHASHSEED``."""
+
+    @staticmethod
+    def _class_map(hash_seed: str) -> dict:
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", TIED_VOTES_SCRIPT], env=env,
+            capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(done.stdout)
+
+    def test_class_map_does_not_depend_on_hash_seed(self):
+        first, second = self._class_map("1"), self._class_map("2")
+        assert first == second
+        names = ["car", "suv", "truck", "van", "bus", "pickup"]
+        # Track i is the stub's (i + 1)-th call; its first vote wins.
+        assert first == {str(i): names[(i + 1) % len(names)]
+                         for i in range(12)}
 
 
 class TestClassFilteredQuery:

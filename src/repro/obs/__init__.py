@@ -49,7 +49,6 @@ from repro.obs.exporters import (
 )
 from repro.obs.live import (
     LiveMetricsServer,
-    count_client_disconnect,
     render_healthz,
     render_metrics,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "LiveMetricsServer",
     "render_metrics",
     "render_healthz",
-    "count_client_disconnect",
     "build_span_tree",
     "render_span_tree",
     "render_round",

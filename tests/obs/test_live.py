@@ -1,12 +1,16 @@
 """Live scrape endpoint: /metrics, /healthz, request accounting."""
 
 import json
+import socket
+import struct
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.obs import LiveMetricsServer
+from repro.obs.live import AsyncHTTPServer
 
 
 def _get(url: str):
@@ -86,53 +90,29 @@ class TestLiveMetricsServer:
 
 
 class TestClientDisconnect:
-    """A client hanging up mid-scrape must be counted, not raised."""
+    """A client hanging up mid-request must be counted, not raised."""
 
-    def _handler(self, telemetry, wfile):
-        from repro.obs.live import _Handler
+    def test_reset_while_handling_is_counted(self, fresh_telemetry):
+        class _SlowApp:
+            def handle(self, method, target, body):
+                time.sleep(0.2)
+                return 200, "text/plain", b"x" * len(body)
 
-        handler = object.__new__(_Handler)
-        handler.requestline = "GET /metrics HTTP/1.1"
-        handler.request_version = "HTTP/1.1"
-        handler.command = "GET"
-        handler.client_address = ("127.0.0.1", 1)
-        handler.close_connection = False
-        handler.wfile = wfile
-
-        class _Owner:
-            slos = ()
-
-            def resolve_telemetry(self):
-                return telemetry
-
-        class _Server:
-            owner = _Owner()
-
-        handler.server = _Server()
-        return handler
-
-    def test_broken_pipe_is_swallowed_and_counted(self, fresh_telemetry):
-        class _DeadPipe:
-            def write(self, data):
-                raise BrokenPipeError("client went away")
-
-            def flush(self):
-                pass
-
-        handler = self._handler(fresh_telemetry, _DeadPipe())
-        handler._reply(200, "text/plain", b"payload")  # must not raise
         counter = fresh_telemetry.counter("obs.live.client_disconnects")
+        with AsyncHTTPServer(_SlowApp(), port=0) as server:
+            status, body = _get(server.url + "/")
+            assert (status, body) == (200, "")
+            assert counter.total() == 0
+            raw = socket.create_connection(("127.0.0.1", server.port),
+                                           timeout=5)
+            raw.sendall(b"POST / HTTP/1.1\r\nContent-Length: 1024\r\n\r\n"
+                        + b"a" * 1024)
+            # Linger 0: close() sends a TCP reset while the app sleeps,
+            # so the server's response write meets a dead connection.
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                           struct.pack("ii", 1, 0))
+            raw.close()
+            deadline = time.monotonic() + 5.0
+            while counter.total() == 0 and time.monotonic() < deadline:
+                time.sleep(0.02)
         assert counter.total() == 1
-        assert handler.close_connection
-
-    def test_healthy_pipe_writes_full_response(self, fresh_telemetry):
-        import io
-
-        buffer = io.BytesIO()
-        handler = self._handler(fresh_telemetry, buffer)
-        handler._reply(200, "text/plain", b"payload")
-        raw = buffer.getvalue()
-        assert raw.startswith(b"HTTP/") and b" 200 OK" in raw
-        assert raw.endswith(b"payload")
-        counter = fresh_telemetry.counter("obs.live.client_disconnects")
-        assert counter.total() == 0

@@ -4,7 +4,9 @@ cross-worker resume, corpus sharing, and the HTTP front end."""
 import asyncio
 import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -395,7 +397,6 @@ class TestHTTPServer:
                 resp.read()
             conn.close()
 
-            import socket
             raw = socket.create_connection(("127.0.0.1", server.port),
                                            timeout=30)
             raw.sendall(b"BOGUS\r\n\r\n")
@@ -403,6 +404,47 @@ class TestHTTPServer:
             assert reply.startswith(b"HTTP/1.1 400")
             raw.close()
         svc.close()
+
+    @pytest.mark.parametrize("head, status", [
+        (b"POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"POST / HTTP/1.1\r\nContent-Length: +3\r\n\r\n", 400),
+        (b"POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n", 400),
+        (b"POST / HTTP/1.1\r\nContent-Length: 8388609\r\n\r\n", 413),
+        (b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+    ], ids=["negative-length", "signed-length", "underscore-length",
+            "body-over-8MiB", "head-over-64KiB"])
+    def test_bad_request_head_is_refused(self, service_db, head, status):
+        path, _clips = service_db
+        svc = RetrievalService(path)
+        with RetrievalHTTPServer(svc, port=0) as server:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=5) as raw:
+                raw.sendall(head)
+                reply = raw.recv(4096)
+        svc.close()
+        assert reply.startswith(b"HTTP/1.1 %d " % status), reply
+
+    def test_stop_closes_idle_keep_alive_connections(self, service_db):
+        path, _clips = service_db
+        svc = RetrievalService(path)
+        server = RetrievalHTTPServer(svc, port=0).start()
+        loop_thread = server._thread
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=2)
+        try:
+            conn.request("GET", "/")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200 and not resp.will_close
+            started = time.monotonic()
+            server.stop()
+            assert time.monotonic() - started < 2.0
+            assert not loop_thread.is_alive()
+            assert conn.sock.recv(1) == b""  # EOF, not a 2 s timeout
+        finally:
+            conn.close()
+            server.stop()
+            svc.close()
 
     def test_port_conflict_raises(self, service_db, monkeypatch):
         path, _clips = service_db

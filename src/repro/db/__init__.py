@@ -17,7 +17,7 @@ provides that layer:
 
 from repro.db.schema import ClipRecord, LabelRecord, SessionRecord, TrackRecord
 from repro.db.storage import ArrayStore, InMemoryArrayStore, NpzArrayStore
-from repro.db.database import ThreadLocalVideoDatabase, VideoDatabase
+from repro.db.database import VideoDatabase
 from repro.db.ingest import StreamingIngest
 from repro.db.query import (
     MultiClipQuerySession,
@@ -34,7 +34,6 @@ __all__ = [
     "InMemoryArrayStore",
     "NpzArrayStore",
     "VideoDatabase",
-    "ThreadLocalVideoDatabase",
     "StreamingIngest",
     "SemanticQuerySession",
     "MultiClipQuerySession",

@@ -16,6 +16,7 @@ import json
 import sqlite3
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from repro.errors import (
 )
 from repro.trajectory.curve import TrajectoryModel
 
-__all__ = ["VideoDatabase", "ThreadLocalVideoDatabase", "connect_sqlite"]
+__all__ = ["VideoDatabase", "connect_sqlite"]
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS clips (
@@ -197,7 +198,7 @@ def _translate_sqlite_error(exc: sqlite3.Error) -> StorageError:
 class _CatalogConnection:
     """Typed-error boundary around one ``sqlite3.Connection``.
 
-    Every statement and transaction exit translates ``sqlite3.Error``
+    Every statement and transaction boundary translates ``sqlite3.Error``
     into :class:`StorageError`/:class:`DatabaseBusyError`, so the rest
     of the system (query sessions, streaming ingest, the sharded
     corpus's failure domain) sees one coherent error taxonomy whatever
@@ -241,7 +242,10 @@ class _CatalogConnection:
         self._raw.close()
 
     def __enter__(self) -> "_CatalogConnection":
-        self._raw.__enter__()
+        try:
+            self._raw.__enter__()
+        except sqlite3.Error as exc:  # a connection already closed
+            raise _translate_sqlite_error(exc) from exc
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -252,8 +256,7 @@ class _CatalogConnection:
 
 
 def connect_sqlite(path: str, *, busy_timeout_ms: int = 5000,
-                   factory=None,
-                   check_same_thread: bool = True) -> sqlite3.Connection:
+                   factory=None) -> sqlite3.Connection:
     """Open one catalog connection with the contention-safe pragmas.
 
     This is the connection factory the whole db layer funnels through:
@@ -267,17 +270,13 @@ def connect_sqlite(path: str, *, busy_timeout_ms: int = 5000,
     here.
     """
     raw_connect = factory or sqlite3.connect
-    kwargs = {"timeout": busy_timeout_ms / 1000.0}
-    if not check_same_thread:
-        # Only forwarded when relaxed, so existing connection factories
-        # (the fault injector) keep their two-argument signature.  The
-        # stdlib sqlite3 module is compiled in serialized mode
-        # (``sqlite3.threadsafety == 3``), making cross-thread use of
-        # one connection safe; ThreadLocalVideoDatabase still gives
-        # each thread its own connection and relies on this only so a
-        # shutdown thread may close them all.
-        kwargs["check_same_thread"] = False
-    conn = raw_connect(path, **kwargs)
+    # Not bound to the opening thread, so VideoDatabase.close() may close
+    # every thread's connection from whichever thread calls it.  The
+    # stdlib sqlite3 module is compiled in serialized mode
+    # (``sqlite3.threadsafety == 3``); a file-backed VideoDatabase still
+    # gives each thread its own connection.
+    conn = raw_connect(path, timeout=busy_timeout_ms / 1000.0,
+                       check_same_thread=False)
     try:
         conn.execute("PRAGMA foreign_keys = ON")
         conn.execute(f"PRAGMA busy_timeout = {int(busy_timeout_ms)}")
@@ -324,25 +323,31 @@ class VideoDatabase:
         corruption instead of failing later mid-query.  ``repro
         verify-db`` opens with this disabled so a damaged catalog can
         still be inspected and repaired.
-    check_same_thread:
-        Passed through to ``sqlite3.connect``.  Leave at ``True`` for
-        single-threaded use; :class:`ThreadLocalVideoDatabase` opens
-        its per-thread instances with ``False`` so its shutdown thread
-        can close every connection.
+
+    Threads may share one instance.  For a file path each calling
+    thread gets its own connection, opened on its first call, so no two
+    threads share transaction state (a ``BEGIN IMMEDIATE`` guard on one
+    thread must not interleave with another thread's insert); WAL mode
+    makes the readers/writer mix safe at the file level.  A
+    ``":memory:"`` database keeps its single connection, because a
+    second one would be a separate empty database.  :meth:`close`
+    closes every thread's connection and may be called from any thread.
     """
 
     def __init__(self, path: str | Path = ":memory:",
                  array_store: ArrayStore | None = None, *,
                  busy_timeout_ms: int = 5000,
                  connection_factory=None,
-                 quick_check: bool = True,
-                 check_same_thread: bool = True) -> None:
+                 quick_check: bool = True) -> None:
         self.path = str(path)
         self._metadata_version = 0
-        self._conn = _CatalogConnection(connect_sqlite(
-            self.path, busy_timeout_ms=busy_timeout_ms,
-            factory=connection_factory,
-            check_same_thread=check_same_thread))
+        self._busy_timeout_ms = busy_timeout_ms
+        self._connection_factory = connection_factory
+        self._local = (SimpleNamespace() if self.path == ":memory:"
+                       else threading.local())
+        self._lock = threading.Lock()
+        self._conns: list[_CatalogConnection] = []
+        self._closed = False
         if quick_check and self.path != ":memory:":
             self._quick_check()
         self._conn.executescript(_SCHEMA)
@@ -354,8 +359,32 @@ class VideoDatabase:
             self.arrays = NpzArrayStore(Path(self.path).parent
                                         / (Path(self.path).stem + "_arrays"))
 
+    @property
+    def _conn(self) -> _CatalogConnection:
+        """The calling thread's connection, opened on its first call."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            with self._lock:
+                if self._closed:
+                    raise StorageError(f"catalog {self.path!r} is closed")
+                conn = _CatalogConnection(connect_sqlite(
+                    self.path, busy_timeout_ms=self._busy_timeout_ms,
+                    factory=self._connection_factory))
+                self._conns.append(conn)
+            self._local.conn = conn
+        return conn
+
     def close(self) -> None:
-        self._conn.close()
+        """Close every thread's connection; any thread may call this.
+
+        Every later call on this catalog, on any thread, raises
+        :class:`~repro.errors.StorageError`.
+        """
+        with self._lock:
+            self._closed = True
+            conns, self._conns = self._conns, []
+        for conn in conns:
+            conn.close()
 
     @property
     def metadata_version(self) -> int:
@@ -364,9 +393,13 @@ class VideoDatabase:
         Query sessions key their per-clip caches (e.g. vehicle classes)
         on this, so a cache survives arbitrarily many reads but is
         invalidated the moment tracks are rewritten or clips come and
-        go through this connection.
+        go through this object, from whichever thread.
         """
         return self._metadata_version
+
+    def _bump_metadata_version(self) -> None:
+        with self._lock:
+            self._metadata_version += 1
 
     def __enter__(self) -> "VideoDatabase":
         return self
@@ -439,7 +472,7 @@ class VideoDatabase:
             self._conn.executemany(
                 "INSERT OR REPLACE INTO tracks VALUES "
                 "(?,?,?,?,?,?,?,?,?,?,?,?)", rows)
-        self._metadata_version += 1
+        self._bump_metadata_version()
 
     def track_records(self, clip_id: str) -> list[TrackRecord]:
         rows = self._conn.execute(
@@ -506,7 +539,7 @@ class VideoDatabase:
                     "matrices": np.stack([i.matrix for i in instances]),
                 },
             )
-        self._metadata_version += 1
+        self._bump_metadata_version()
 
     def append_dataset(self, delta: MILDataset, *,
                        segment: tuple[int, int, int] | None = None) -> None:
@@ -581,7 +614,7 @@ class VideoDatabase:
                     (delta.clip_id, delta.event_name, int(seg), "appended",
                      int(lo), int(hi), len(delta.bags), len(instances),
                      "", _utc_now()))
-        self._metadata_version += 1
+        self._bump_metadata_version()
 
     # ----------------------------------------------------- ingest journal
     def record_ingest_event(self, clip_id: str, event_name: str,
@@ -1161,7 +1194,7 @@ class VideoDatabase:
                 self._conn.execute(
                     "DELETE FROM instances WHERE clip_id=? AND event=?",
                     (clip_id, event))
-        self._metadata_version += 1
+        self._bump_metadata_version()
         return "pruned"
 
     def _dataset_from_artifacts(self, clip_id: str, event: str,
@@ -1207,7 +1240,7 @@ class VideoDatabase:
                                (clip_id,))
         for key in self._array_keys_for(clip_id):
             self.arrays.delete(key)
-        self._metadata_version += 1
+        self._bump_metadata_version()
 
     def export_clip(self, clip_id: str, path: str | Path) -> None:
         """Write one clip (catalog rows + arrays) to a portable npz file."""
@@ -1297,7 +1330,7 @@ class VideoDatabase:
                 arrays.setdefault(key, {})[array_name] = bundle[name]
             for key, named in arrays.items():
                 self.arrays.save(key, named)
-        self._metadata_version += 1
+        self._bump_metadata_version()
         return record
 
     # ------------------------------------------------------------ ingest
@@ -1323,133 +1356,3 @@ class VideoDatabase:
         self.add_dataset(dataset)
         return record
 
-
-class ThreadLocalVideoDatabase:
-    """One :class:`VideoDatabase` per thread over the same catalog file.
-
-    SQLite connections are cheap; what is *not* safe is many service
-    worker threads funnelling statements through one connection's
-    transaction state (a ``BEGIN IMMEDIATE`` guard on thread A must not
-    interleave with thread B's insert).  This facade lazily opens a
-    dedicated ``VideoDatabase`` the first time each thread touches it
-    — WAL mode makes the concurrent readers/writer mix safe at the
-    file level — and exposes the catalog API as plain bound methods so
-    callbacks captured at session-construction time (e.g. the
-    ``partial(db.dataset, ...)`` shard loaders) resolve the *calling*
-    thread's connection at call time, not the constructing thread's.
-
-    Limitation: ``metadata_version`` is per-connection, so a mutation
-    made by one thread does not bump other threads' versions.  The
-    retrieval service only reads clip/track metadata, which keeps every
-    thread's version at 0 and the cross-thread view trivially
-    consistent; don't use this facade for ingest.
-    """
-
-    def __init__(self, path: str | Path, *,
-                 busy_timeout_ms: int = 5000,
-                 connection_factory=None,
-                 quick_check: bool = True) -> None:
-        if str(path) == ":memory:":
-            raise ConfigurationError(
-                "ThreadLocalVideoDatabase needs a file-backed catalog: "
-                "each thread's ':memory:' connection would be a "
-                "separate empty database")
-        self.path = str(path)
-        self._kwargs = {"busy_timeout_ms": busy_timeout_ms,
-                        "connection_factory": connection_factory,
-                        "quick_check": quick_check}
-        self._local = threading.local()
-        self._instances: list[VideoDatabase] = []
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def _db(self) -> VideoDatabase:
-        db = getattr(self._local, "db", None)
-        if db is None:
-            with self._lock:
-                if self._closed:
-                    raise StorageError(
-                        f"thread-local catalog {self.path!r} is closed")
-            db = VideoDatabase(self.path, check_same_thread=False,
-                               **self._kwargs)
-            self._local.db = db
-            with self._lock:
-                self._instances.append(db)
-        return db
-
-    def close_all(self) -> None:
-        """Close every per-thread connection (any thread may call)."""
-        with self._lock:
-            self._closed = True
-            instances, self._instances = self._instances, []
-        for db in instances:
-            db.close()
-        self._local = threading.local()
-
-    def __enter__(self) -> "ThreadLocalVideoDatabase":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close_all()
-
-    @property
-    def metadata_version(self) -> int:
-        return self._db().metadata_version
-
-    @property
-    def arrays(self):
-        return self._db().arrays
-
-    # Explicit pass-throughs (not ``__getattr__``) so sessions can hold
-    # e.g. ``partial(db.dataset, clip_id, event)`` across threads.
-    def clip(self, *args, **kwargs):
-        return self._db().clip(*args, **kwargs)
-
-    def clips(self, *args, **kwargs):
-        return self._db().clips(*args, **kwargs)
-
-    def events_for(self, *args, **kwargs):
-        return self._db().events_for(*args, **kwargs)
-
-    def vehicle_classes(self, *args, **kwargs):
-        return self._db().vehicle_classes(*args, **kwargs)
-
-    def dataset(self, *args, **kwargs):
-        return self._db().dataset(*args, **kwargs)
-
-    def dataset_meta(self, *args, **kwargs):
-        return self._db().dataset_meta(*args, **kwargs)
-
-    def add_labels(self, *args, **kwargs):
-        return self._db().add_labels(*args, **kwargs)
-
-    def labels(self, *args, **kwargs):
-        return self._db().labels(*args, **kwargs)
-
-    def accumulated_labels(self, *args, **kwargs):
-        return self._db().accumulated_labels(*args, **kwargs)
-
-    def register_session(self, *args, **kwargs):
-        return self._db().register_session(*args, **kwargs)
-
-    def session_record(self, *args, **kwargs):
-        return self._db().session_record(*args, **kwargs)
-
-    def session_records(self, *args, **kwargs):
-        return self._db().session_records(*args, **kwargs)
-
-    def record_query_round(self, *args, **kwargs):
-        return self._db().record_query_round(*args, **kwargs)
-
-    def query_rounds(self, *args, **kwargs):
-        return self._db().query_rounds(*args, **kwargs)
-
-    def query_sessions(self, *args, **kwargs):
-        return self._db().query_sessions(*args, **kwargs)
-
-    def __getattr__(self, name: str):
-        # Anything else (read helpers, stats readers) delegates to the
-        # calling thread's instance.  Note this binds at lookup time —
-        # hot callbacks that outlive the call should use the explicit
-        # methods above.
-        return getattr(self._db(), name)

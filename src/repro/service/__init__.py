@@ -9,14 +9,16 @@ zero new dependencies:
 
 * :class:`~repro.service.core.RetrievalService` — the framework-
   agnostic core: session create / feed / results / explain routed from
-  ``(method, path, body)`` to JSON responses, sessions persisted in the
-  catalog (any worker can resume any session), one shared read-only
+  ``(method, path, body)`` to JSON responses, sessions persisted in one
+  catalog its worker threads share, each thread on its own connection
+  (any worker can resume any session), one shared read-only
   :class:`~repro.core.sharded.ShardedCorpus` per ``(corpus, event)``
   via :class:`~repro.core.sharded.CorpusPool` so concurrent users
   amortize shard loads and Gram-cache kernel columns.
-* :class:`~repro.service.http.RetrievalHTTPServer` — a stdlib
-  ``asyncio`` HTTP/1.1 front end running in a background thread,
-  dispatching request handling to a worker thread pool.
+* :class:`~repro.service.http.RetrievalHTTPServer` — the repo's one
+  stdlib ``asyncio`` HTTP/1.1 server (:mod:`repro.obs.live`) running in
+  a background thread, dispatching request handling to a worker thread
+  pool.
 
 ``repro serve`` (the CLI) wires the two together.
 """

@@ -1,12 +1,12 @@
 """Framework-agnostic core of the multi-tenant retrieval service.
 
-:class:`RetrievalService` owns the worker-side state — a thread-local
-catalog facade, a refcounted pool of shared read-only corpora, and an
-in-memory cache of live session objects — and routes
-``(method, path, body)`` triples to JSON responses.  It knows nothing
-about sockets; :mod:`repro.service.http` (or any other front end, or a
-test calling :meth:`RetrievalService.handle` directly) supplies the
-transport.
+:class:`RetrievalService` owns the worker-side state — one catalog its
+worker threads share (each thread on its own connection), a refcounted
+pool of shared read-only corpora, and an in-memory cache of live
+session objects — and routes ``(method, path, body)`` triples to JSON
+responses.  It knows nothing about sockets; :mod:`repro.service.http`
+(or any other front end, or a test calling
+:meth:`RetrievalService.handle` directly) supplies the transport.
 
 Session lifecycle
 -----------------
@@ -28,7 +28,7 @@ import time
 from urllib.parse import parse_qs
 
 from repro.core.sharded import CorpusPool
-from repro.db.database import ThreadLocalVideoDatabase
+from repro.db.database import VideoDatabase
 from repro.db.query import MultiClipQuerySession, sharded_corpus
 from repro.db.schema import SessionRecord
 from repro.errors import (
@@ -106,8 +106,8 @@ class RetrievalService:
     ----------
     db_path:
         File-backed catalog (WAL mode).  ``":memory:"`` is rejected —
-        worker threads each open their own connection and would see
-        separate empty databases.
+        it is one connection, and worker threads must not share one
+        connection's transaction state.
     max_sessions:
         Soft cap on resident session objects per worker; beyond it the
         least-recently-used idle session is evicted (its durable record
@@ -125,8 +125,12 @@ class RetrievalService:
                  slos=DEFAULT_SLOS, busy_timeout_ms: int = 5000) -> None:
         if max_sessions < 1:
             raise ConfigurationError("max_sessions must be >= 1")
-        self.db = ThreadLocalVideoDatabase(
-            db_path, busy_timeout_ms=busy_timeout_ms)
+        if str(db_path) == ":memory:":
+            raise ConfigurationError(
+                "RetrievalService needs a file-backed catalog: a "
+                "':memory:' catalog is one connection, which every worker "
+                "thread would share")
+        self.db = VideoDatabase(db_path, busy_timeout_ms=busy_timeout_ms)
         self.pool = CorpusPool()
         self.max_sessions = int(max_sessions)
         self.default_top_k = int(default_top_k)
@@ -549,4 +553,4 @@ class RetrievalService:
             sids = list(self._sessions)
         for sid in sids:
             self._close_session(sid)
-        self.db.close_all()
+        self.db.close()

@@ -1,17 +1,13 @@
 """Session-concurrency regressions: the lost-update race, ambiguous
 session ids, and multi-worker access to one WAL catalog."""
 
+import sys
 import threading
 
 import pytest
 
 from repro.core import MultiClipOracle
-from repro.db import (
-    MultiClipQuerySession,
-    SessionRecord,
-    ThreadLocalVideoDatabase,
-    VideoDatabase,
-)
+from repro.db import MultiClipQuerySession, SessionRecord, VideoDatabase
 from repro.db.database import ROUND_HEAD_SQL, connect_sqlite
 from repro.db.schema import LabelRecord
 from repro.errors import (
@@ -21,6 +17,7 @@ from repro.errors import (
     StorageError,
 )
 from repro.eval import build_artifacts
+from repro.service import RetrievalService
 from repro.sim import GroundTruth
 
 
@@ -244,31 +241,153 @@ class TestSessionRegistry:
                 db.session_record("nope")
 
 
-class TestThreadLocalFacade:
-    def test_rejects_memory_db(self):
+def _error_name(call):
+    """The name of the exception ``call()`` raises, or ``None``."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - asserted by the caller
+        return type(exc).__name__
+    return None
+
+
+class TestSharedCatalog:
+    """One ``VideoDatabase`` shared by threads, each on its own
+    connection."""
+
+    def test_service_rejects_memory_db(self):
         with pytest.raises(ConfigurationError):
-            ThreadLocalVideoDatabase(":memory:")
+            RetrievalService(":memory:")
 
     def test_one_connection_per_thread(self, tmp_path):
         path = str(tmp_path / "cat.sqlite")
-        VideoDatabase(path).close()
-        facade = ThreadLocalVideoDatabase(path)
-        seen = {}
+        with VideoDatabase(path) as db:
+            seen = {}
 
-        def probe(name):
-            facade.add_labels(_labels(0, user=name))
-            seen[name] = id(facade._db())
+            def probe(name):
+                db.add_labels(_labels(0, user=name))
+                seen[name] = db._conn
 
-        threads = [threading.Thread(target=probe, args=(f"u{i}",))
-                   for i in range(3)]
-        for t in threads:
+            threads = [threading.Thread(target=probe, args=(f"u{i}",))
+                       for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            conns = [*seen.values(), db._conn]
+            assert len({id(c) for c in conns}) == 4
+            for name in seen:
+                assert len(db.labels("merged:a+b", "accident", name)) == 3
+
+    def test_memory_catalog_keeps_one_connection(self):
+        with VideoDatabase(":memory:") as db:
+            db.add_labels(_labels(0))
+            seen = {}
+
+            def probe():
+                seen["conn"] = db._conn
+                seen["rows"] = len(db.labels("merged:a+b", "accident",
+                                             "ana"))
+
+            thread = threading.Thread(target=probe)
+            thread.start()
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+            assert seen == {"conn": db._conn, "rows": 3}
+
+    def test_close_from_another_thread_fails_every_later_call(
+            self, tmp_path):
+        db = VideoDatabase(str(tmp_path / "cat.sqlite"))
+        db.add_labels(_labels(0))
+        record = SessionRecord(
+            session_id="ana:merged:a+b:accident", user_id="ana",
+            corpus_id="merged:a+b", event_name="accident",
+            clip_ids=("a", "b"))
+        calls = [
+            lambda: db.labels("merged:a+b", "accident", "ana"),
+            lambda: db.add_labels(_labels(1)),
+            lambda: db.add_labels(_labels(1), expect_round=1),
+            lambda: db.register_session(record),
+            lambda: db.session_records(),
+            lambda: db.clips(),
+        ]
+        touched, closed = threading.Event(), threading.Event()
+        errors = {}
+
+        def worker(name, touch):
+            if touch:
+                db.labels("merged:a+b", "accident", "ana")
+                touched.set()
+            closed.wait(timeout=30)
+            errors[name] = [_error_name(call) for call in calls]
+
+        workers = [threading.Thread(target=worker, args=("touched", True)),
+                   threading.Thread(target=worker, args=("untouched", False))]
+        for t in workers:
             t.start()
-        for t in threads:
-            t.join()
-        assert len(set(seen.values())) == 3
-        for name in seen:
-            assert len(facade.labels("merged:a+b", "accident", name)) == 3
-        facade.close_all()
+        assert touched.wait(timeout=30)
+        closer = threading.Thread(target=db.close)
+        closer.start()
+        closer.join(timeout=30)
+        closed.set()
+        for t in workers:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in [closer, *workers])
+        errors["constructing"] = [_error_name(call) for call in calls]
+        assert errors == {name: ["StorageError"] * len(calls)
+                          for name in ("touched", "untouched",
+                                       "constructing")}
+
+    def test_add_dataset_bumps_the_version_other_threads_read(
+            self, catalog_path):
+        path, clips, _truths = catalog_path
+        with VideoDatabase(path) as db:
+            dataset = db.dataset(clips[0], "accident")
+            before = db.metadata_version
+            writer = threading.Thread(target=db.add_dataset,
+                                      args=(dataset,))
+            writer.start()
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            assert db.metadata_version == before + 1
+
+    def test_contended_writes_lose_nothing(self, catalog_path):
+        """More threads than cores, switching often: every version bump
+        and every guarded label round lands exactly once."""
+        path, clips, _truths = catalog_path
+        n_threads, n_rounds = 8, 20
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with VideoDatabase(path) as db:
+                before = db.metadata_version
+                errors = []
+
+                def work(user):
+                    try:
+                        for r in range(n_rounds):
+                            db.add_tracks(clips[0], [])  # bumps the version
+                            db.add_labels(_labels(r, user=user),
+                                          expect_round=r)
+                    except Exception as exc:  # noqa: BLE001 - asserted
+                        errors.append(exc)
+
+                users = [f"w{i}" for i in range(n_threads)]
+                threads = [threading.Thread(target=work, args=(u,))
+                           for u in users]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors, errors
+                assert db.metadata_version == before + n_threads * n_rounds
+                for user in users:
+                    rounds = {r.round_index for r in
+                              db.labels("merged:a+b", "accident", user)}
+                    assert rounds == set(range(n_rounds))
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestConcurrentWorkers:
@@ -277,13 +396,13 @@ class TestConcurrentWorkers:
     def test_distinct_sessions_interleave_cleanly(self, catalog_path):
         path, clips, truths = catalog_path
         oracle = MultiClipOracle(truths)
-        facade = ThreadLocalVideoDatabase(path)
+        shared = VideoDatabase(path)
         errors = []
 
         def run_user(user):
             try:
                 session = MultiClipQuerySession(
-                    facade, clips, "accident", user_id=user, top_k=6,
+                    shared, clips, "accident", user_id=user, top_k=6,
                     ledger=False)
                 for _ in range(2):
                     bags = [session.dataset.bag_by_id(i)
@@ -298,7 +417,8 @@ class TestConcurrentWorkers:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
         assert not [e for e in errors
                     if isinstance(e[1], DatabaseBusyError)], errors
         assert not errors, errors
@@ -308,4 +428,4 @@ class TestConcurrentWorkers:
                 replay = MultiClipQuerySession(db, clips, "accident",
                                                user_id=user, top_k=6)
                 assert replay.round_index == 2
-        facade.close_all()
+        shared.close()

@@ -64,7 +64,7 @@ from repro.svm.gram_cache import GramCache
 from repro.svm.scaling import StandardScaler
 from repro.utils import check_in_range
 
-__all__ = ["ShardSpec", "CorpusShard", "ShardedCorpus", "CorpusPool",
+__all__ = ["ShardSpec", "CorpusShard", "ShardedCorpus",
            "ShardedRetrievalEngine", "HeuristicNominator", "IVFNominator",
            "ShardOutage", "CoverageReport", "InstanceExplanation"]
 
@@ -147,9 +147,10 @@ class CorpusShard:
     translate to global ids by offset arithmetic alone.
 
     ``matrix`` (the standardized instance matrix) stays ``None`` until
-    the engine fits its global scaler, and ``gram_cache`` until the
-    One-class SVM rule first scores the whole shard; the heuristic
-    prefilter only needs the raw features.
+    :meth:`ShardedCorpus.standardize` builds it with the global scaler
+    of corpus epoch :attr:`epoch`, and ``gram_cache`` until the
+    One-class SVM rule first scores the whole shard in that epoch; the
+    heuristic prefilter only needs the raw features.
     """
 
     def __init__(self, spec: ShardSpec, bag_offset: int,
@@ -179,6 +180,9 @@ class CorpusShard:
                 dtype=np.float64)
         self.matrix: np.ndarray | None = None
         self.gram_cache: GramCache | None = None
+        #: The corpus epoch ``matrix`` was standardized in (``None``
+        #: until then); ``gram_cache`` holds columns of that matrix.
+        self.epoch: int | None = None
 
         # candidate_positions memo: m (or None) -> positions.  All
         # caches below die with the shard object, so a corpus reload
@@ -187,10 +191,10 @@ class CorpusShard:
         self.heuristic_order_computes = 0
         self.set_initial_scores(*heuristic_scores(self.dataset))
         self._ivf_indexes: dict[tuple[int, int, int], IVFIndex] = {}
-        #: Serializes engine access to this shard's mutable ranking
-        #: state (standardized matrix, Gram cache fills + cross reads)
-        #: when several sessions share one corpus.  The engine holds it
-        #: across ensure_vectors + cross so the pair stays atomic.
+        #: Serializes access to this shard's mutable ranking state (epoch
+        #: rebuilds, Gram cache fills + cross reads) when several sessions
+        #: share one corpus.  The engine holds it across ensure_vectors +
+        #: cross so the pair stays atomic.
         self.lock = threading.RLock()
 
     def set_initial_scores(self, bag_scores: np.ndarray,
@@ -333,7 +337,7 @@ class CorpusShard:
 
         Standardized state (``matrix``, ``gram_cache``) is reset to
         ``None``: the global scaler must refit over the grown corpus,
-        and the engine's corpus sync re-standardizes on the next round.
+        which :meth:`ShardedCorpus.standardize` does for the next epoch.
         """
         fresh = sorted((b for b in bags if b.bag_id >= self.n_bags),
                        key=lambda b: b.bag_id)
@@ -372,6 +376,7 @@ class CorpusShard:
         self.set_initial_scores(*heuristic_scores(self.dataset))
         self.matrix = None
         self.gram_cache = None
+        self.epoch = None
         self.spec = replace(self.spec, n_bags=self.n_bags,
                             n_instances=self.n_instances)
         self.metadata_version += 1
@@ -480,6 +485,26 @@ class ShardedCorpus:
     :class:`MILDataset` surface the query/session layer relies on
     (``len``, ``bag_by_id``, ``n_instances``), so oracles and sessions
     work unchanged on top of it.
+
+    **Epoch state.**  Every engine over the corpus shares what is
+    derived from its rows, built by whichever engine needs it first in
+    the current epoch (:attr:`mutation_count`; see :meth:`standardize`):
+    the global scaler, fitted once per epoch, and each shard's
+    ``matrix`` and ``gram_cache``, rebuilt at most once per epoch and
+    stamped with it.  So every shard matrix or Gram column used for
+    scoring was built with the current epoch's scaler.  A shared Gram
+    cache computes each kernel column in the block of whichever engine
+    first needed it, so scores can differ in the last bits from a
+    private corpus', and near-ties can swap.
+
+    **Threading contract.**  Concurrent rounds on one corpus are safe:
+    loads and the scaler fit run under :attr:`lock`, each shard's
+    rebuild and Gram-cache fill/read pairs under the shard's lock.  A
+    mutation (refresh, reload) during rounds on the same corpus is not:
+    a round can score a shard already rebuilt for the next epoch.
+    Nothing in the repo does this — the service never writes datasets,
+    and :class:`~repro.db.ingest.StreamingIngest` calls its progress
+    callback between segments.
     """
 
     def __init__(self, specs: list[ShardSpec], *,
@@ -520,22 +545,59 @@ class ShardedCorpus:
         # clip_id -> {"failures", "next_probe_at", "reason"}
         self._quarantine: dict[str, dict] = {}
         self._availability = 0
+        self._scaler: StandardScaler | None = None
+        self._scaler_epoch: int | None = None
+        #: Catalog version this corpus last absorbed (opaque here).
+        self.source_version: int | None = None
         #: Serializes structural mutation (lazy loads, reload/refresh,
-        #: quarantine bookkeeping) when several sessions share this
-        #: corpus.  Reads of an already-loaded shard stay lock-free —
-        #: dict lookups are atomic and shards are replaced wholesale,
-        #: never mutated into inconsistency.
-        self._lock = threading.RLock()
+        #: quarantine bookkeeping) and the scaler fit.  Reads of an
+        #: already-loaded shard stay lock-free — dict lookups are atomic
+        #: and shards are replaced wholesale, never mutated into
+        #: inconsistency.
+        self.lock = threading.RLock()
 
     @property
     def mutation_count(self) -> int:
-        """Monotonic counter of corpus mutations (reload / refresh).
+        """Monotonic counter of corpus mutations (reload / refresh /
+        recovery): the corpus' epoch.
 
-        Engines key their cross-shard state (global scaler, per-round
-        streams) on this, so an open query session notices a live-shard
-        append on its next round without being recreated.
+        The corpus keys its derived state and engines their rounds on
+        this, so an open query session notices a live-shard append on
+        its next round without being recreated.
         """
         return self._mutations
+
+    def standardize(self, probe: Callable[[], list[CorpusShard]]
+                    ) -> StandardScaler:
+        """The current epoch's global scaler, with the healthy shards
+        (``probe()``, run under :attr:`lock`) standardized by it.
+
+        The first call in an epoch fits the scaler on the vstack of the
+        shards' raw matrices — the merged dataset's exact rows, in order
+        — so per-shard standardized matrices are bit-identical to the
+        merged rows.  Each shard is standardized, and its Gram cache
+        dropped, once per epoch.  A quarantined shard is left out of the
+        fit; its recovery starts a new epoch, which refits.
+        """
+        with self.lock:
+            shards = probe()
+            if self._scaler_epoch != self._mutations:
+                self._scaler = StandardScaler().fit(np.vstack(
+                    [s.matrix_raw for s in shards
+                     if s.matrix_raw is not None]))
+                self._scaler_epoch = self._mutations
+            scaler, epoch = self._scaler, self._scaler_epoch
+        # Outside the corpus lock: an engine scoring a shard holds the
+        # shard's lock and may need the corpus lock to probe another.
+        for shard in shards:
+            with shard.lock:
+                if shard.epoch == epoch or shard.matrix_raw is None:
+                    continue
+                shard.matrix = np.ascontiguousarray(
+                    scaler.transform(shard.matrix_raw))
+                shard.gram_cache = None
+                shard.epoch = epoch
+        return scaler
 
     def __len__(self) -> int:
         return self._n_bags
@@ -619,9 +681,9 @@ class ShardedCorpus:
         obs.event("sharded.shard_recovered", clip=clip_id,
                   failures=info["failures"])
         self._availability += 1
-        # A recovered shard was invisible to the engine's global scaler;
-        # bump the mutation counter so engines refit over the full
-        # corpus instead of ranking the shard with no standardized rows.
+        # A recovered shard was invisible to the epoch's global scaler;
+        # start a new epoch so the corpus refits over the full corpus
+        # instead of ranking the shard with no standardized rows.
         self._mutations += 1
 
     def shard(self, clip_id: str) -> CorpusShard:
@@ -636,7 +698,7 @@ class ShardedCorpus:
         loaded = self._shards.get(clip_id)
         if loaded is not None:
             return loaded
-        with self._lock:
+        with self.lock:
             loaded = self._shards.get(clip_id)
             if loaded is not None:
                 return loaded
@@ -673,7 +735,7 @@ class ShardedCorpus:
         order, candidate prefixes, IVF indexes), so callers holding the
         corpus — not a stale shard object — always see current data.
         """
-        with self._lock:
+        with self.lock:
             if clip_id in self._shards:
                 version = self._shards.pop(clip_id).metadata_version + 1
             else:
@@ -696,7 +758,7 @@ class ShardedCorpus:
         dropped (with a version bump) and reload lazily under their new
         offsets.
         """
-        with self._lock:
+        with self.lock:
             return self._refresh_locked(clip_id, n_bags=n_bags,
                                         n_instances=n_instances)
 
@@ -995,7 +1057,6 @@ class ShardedRetrievalEngine:
         #: The quality ledger (:mod:`repro.db.query`) persists this.
         self.last_round_stats: dict | None = None
         self.labels: dict[int, bool] = {}
-        self._scaler: StandardScaler | None = None
         #: Whether the rule is fitted; until then bags score by the
         #: heuristic.
         self.is_trained = False
@@ -1025,21 +1086,16 @@ class ShardedRetrievalEngine:
         """Catch up with live-corpus mutations (appends / reloads).
 
         A streamed append invalidates everything keyed on the old bag
-        population: the global scaler's statistics, every shard's
-        standardized matrix and Gram-cache columns, the per-round merge
-        streams and cached query vectors.  Drop them all, retrain on the
-        grown corpus when there is feedback, and the next round ranks
-        the appended bags alongside the old ones — no session restart.
+        population.  The corpus rebuilds its own state (scaler,
+        standardized matrices, Gram caches) once per epoch for every
+        engine (:meth:`ShardedCorpus.standardize`); this drops the
+        engine's: merge streams, cached query vectors and the model.
+        Retrain on the grown corpus when there is feedback, and the next
+        round ranks the appended bags too — no session restart.
         """
         if self._corpus_version == self.corpus.mutation_count:
             return
         self._corpus_version = self.corpus.mutation_count
-        self._scaler = None
-        for clip_id in self.corpus.loaded_clip_ids:
-            shard = self.corpus.shard(clip_id)
-            with shard.lock:
-                shard.matrix = None
-                shard.gram_cache = None
         self._drop_round()
         get_telemetry().counter("sharded.corpus_syncs").inc()
         if self.labels:
@@ -1102,33 +1158,16 @@ class ShardedRetrievalEngine:
 
     # -- training ---------------------------------------------------------
     def _ensure_standardized(self) -> StandardScaler:
-        """Fit the global scaler and standardize every shard (once).
+        """The corpus' global scaler for the current epoch, with every
+        healthy shard standardized by it.
 
-        The scaler sees the vstack of the shards' raw matrices — the
-        exact rows, in the exact order, of the merged dataset — so
-        per-shard standardized matrices are bit-identical to the
-        corresponding merged rows.  In degraded mode quarantined
-        shards are excluded from the fit; a recovery bumps the corpus
-        mutation counter, which resets the scaler so the healed corpus
-        is refit in full.
+        The corpus fits it at most once per epoch, over the shards this
+        engine's failure policy lets through (in degraded mode
+        quarantined shards are left out; a recovery starts a new epoch,
+        which refits over the healed corpus), and standardizes each
+        shard once per epoch, whichever engine asks first.
         """
-        if self._scaler is not None:
-            return self._scaler
-        shards, _ = self._probe_shards()
-        blocks = [s.matrix_raw for s in shards if s.matrix_raw is not None]
-        self._scaler = StandardScaler().fit(np.vstack(blocks))
-        for shard in shards:
-            # Shared-corpus note: engines of concurrent sessions fit
-            # identical scalers (same rows, same order), so whichever
-            # engine standardizes a shard first does it for all — the
-            # per-shard lock only prevents a torn matrix, not divergent
-            # contents.
-            with shard.lock:
-                if shard.matrix_raw is None or shard.matrix is not None:
-                    continue
-                shard.matrix = np.ascontiguousarray(
-                    self._scaler.transform(shard.matrix_raw))
-        return self._scaler
+        return self.corpus.standardize(lambda: self._probe_shards()[0])
 
     def _training_picks(self, bag_ids: list[int]
                         ) -> tuple[list[tuple[CorpusShard, list[int]]], int]:
@@ -1482,76 +1521,3 @@ class ShardedRetrievalEngine:
                 f"bags={len(self.corpus)}, "
                 f"candidates_per_shard={self.candidates_per_shard})")
 
-
-class CorpusPool:
-    """Refcounted cache of shared, read-only :class:`ShardedCorpus` objects.
-
-    The multi-tenant service's amortization point: every session over
-    the same ``(corpus, event)`` shares one corpus object, so shard
-    loads happen once, the standardized matrices are built once, and
-    concurrent users reuse each other's Gram-cache kernel columns
-    (:class:`~repro.svm.gram_cache.GramCache` keys columns on kernel
-    parameters, so this pays off when sessions agree on them — the
-    engine defaults — and degrades to correct-but-unshared work when
-    they don't).
-
-    Sharing is sound only while the corpus is *read-only*: a mutation
-    (reload/refresh) would invalidate every sharing engine's scaler at
-    once.  The service never mutates datasets, which is what makes this
-    pool safe there; don't pool corpora over a live streaming ingest.
-
-    ``acquire`` builds the corpus on first use (outside the pool lock —
-    catalog reads can be slow) and bumps a refcount after; ``release``
-    drops the entry when the last holder leaves so memory is returned
-    once a corpus has no sessions.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: dict[str, dict] = {}
-
-    def acquire(self, key: str,
-                factory: Callable[[], ShardedCorpus]) -> ShardedCorpus:
-        """The pooled corpus for ``key``, building it via ``factory``
-        if absent.  Every acquire must be paired with one release."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                entry["refs"] += 1
-                get_telemetry().counter("sharded.corpus_pool_hits").inc()
-                return entry["corpus"]
-        corpus = factory()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                # Lost the build race; adopt the winner and let ours
-                # be garbage (nothing holds it).
-                entry["refs"] += 1
-                get_telemetry().counter("sharded.corpus_pool_hits").inc()
-                return entry["corpus"]
-            self._entries[key] = {"corpus": corpus, "refs": 1}
-            return corpus
-
-    def release(self, key: str) -> bool:
-        """Drop one reference; returns True when the corpus was evicted
-        (refcount hit zero)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                raise ConfigurationError(
-                    f"release of unknown pooled corpus {key!r}")
-            entry["refs"] -= 1
-            if entry["refs"] <= 0:
-                del self._entries[key]
-                return True
-            return False
-
-    def refcount(self, key: str) -> int:
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry["refs"] if entry else 0
-
-    def stats(self) -> dict[str, int]:
-        """{key: refcount} snapshot (diagnostics / service introspection)."""
-        with self._lock:
-            return {k: e["refs"] for k, e in self._entries.items()}

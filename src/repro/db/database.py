@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -348,6 +349,9 @@ class VideoDatabase:
         self._lock = threading.Lock()
         self._conns: list[_CatalogConnection] = []
         self._closed = False
+        #: The sharded corpora open over this catalog, by build key, held
+        #: weakly (see :func:`repro.db.query.sharded_corpus`).
+        self.corpora = weakref.WeakValueDictionary()
         if quick_check and self.path != ":memory:":
             self._quick_check()
         self._conn.executescript(_SCHEMA)

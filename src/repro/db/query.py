@@ -11,7 +11,8 @@ Multi-clip queries (:class:`MultiClipQuerySession`) run on the sharded
 corpus (see :mod:`repro.core.sharded`): clips stay per-shard instead of
 being merged into one monolithic dataset, and an optional heuristic
 prefilter bounds how many bags per shard the learning rule scores
-exactly each round.
+exactly each round.  Every session over the same clips of one
+:class:`VideoDatabase` shares one corpus (:func:`sharded_corpus`).
 """
 
 from __future__ import annotations
@@ -48,22 +49,44 @@ ENGINE_FACTORIES = {
 }
 
 
+#: Guards every catalog's ``corpora`` registry (check, then insert).
+_CORPORA_LOCK = threading.Lock()
+
+
 def sharded_corpus(db: VideoDatabase, clip_ids: list[str],
                    event_name: str, *,
                    retry_policy: RetryPolicy | None = None,
                    clock=None) -> ShardedCorpus:
-    """Build a lazily-loading :class:`ShardedCorpus` over stored clips.
+    """Get the lazily-loading :class:`ShardedCorpus` over stored clips
+    already open on ``db`` for this key, or build it.
 
-    Only catalog metadata is read here (:meth:`VideoDatabase.dataset_meta`);
-    each shard's bulk instance matrices load on first use.  Cross-clip
-    compatibility (event model, features, windowing) is validated up
-    front with the same contract as
-    :func:`~repro.core.bags.merge_datasets`.  ``retry_policy`` /
-    ``clock`` configure the corpus' shard quarantine backoff schedule
-    (see :class:`~repro.core.sharded.ShardedCorpus`).
+    The key is everything the corpus is built from: ``clip_ids`` in
+    order, ``event_name``, and the ``retry_policy`` / ``clock`` of its
+    shard quarantine backoff schedule (``None`` means the defaults; see
+    :class:`~repro.core.sharded.ShardedCorpus`).  Sessions that open one
+    key on one ``db`` object share a corpus, and with it the shard
+    loads, standardized matrices and Gram caches; each hit counts in
+    ``sharded.corpus_pool_hits``.  ``db.corpora`` holds corpora weakly,
+    so dropping the last session frees one.  Threads that open a new
+    key at once build outside the lock, and losers adopt the winner's.
+
+    Building reads only catalog metadata
+    (:meth:`VideoDatabase.dataset_meta`); each shard's bulk instance
+    matrices load on first use.  Cross-clip compatibility (event model,
+    features, windowing) is validated up front with the same contract
+    as :func:`~repro.core.bags.merge_datasets`.
     """
     if not clip_ids:
         raise ConfigurationError("need >= 1 clip id")
+    key = (tuple(clip_ids), event_name, retry_policy, clock)
+    with _CORPORA_LOCK:
+        corpus = db.corpora.get(key)
+    if corpus is not None:
+        get_telemetry().counter("sharded.corpus_pool_hits").inc()
+        return corpus
+    # Read before the counts: an append that lands meanwhile leaves the
+    # cursor behind, so the next round re-reads (never the reverse).
+    version = db.metadata_version
     metas = [db.dataset_meta(c, event_name) for c in clip_ids]
     head = metas[0]
     for meta in metas[1:]:
@@ -80,13 +103,55 @@ def sharded_corpus(db: VideoDatabase, clip_ids: list[str],
                   loader=partial(db.dataset, meta["clip_id"], event_name))
         for meta in metas
     ]
-    kwargs = {}
-    if retry_policy is not None:
-        kwargs["retry_policy"] = retry_policy
-    if clock is not None:
-        kwargs["clock"] = clock
-    return ShardedCorpus(specs, corpus_id="merged:" + "+".join(clip_ids),
-                         event_name=event_name, **kwargs)
+    built = ShardedCorpus(specs, corpus_id="merged:" + "+".join(clip_ids),
+                          event_name=event_name, retry_policy=retry_policy,
+                          clock=clock)
+    built.source_version = version
+    with _CORPORA_LOCK:
+        corpus = db.corpora.setdefault(key, built)
+    if corpus is not built:
+        get_telemetry().counter("sharded.corpus_pool_hits").inc()
+    return corpus
+
+
+def _catch_up(db: VideoDatabase, corpus: ShardedCorpus,
+              failure_policy: str) -> None:
+    """Absorb the bags appended to the catalog since ``corpus`` last
+    read it.
+
+    The cursor is the corpus' own (``source_version``), so a session
+    that joins a shared corpus after an append no open session absorbed
+    still sees it, and only the first session to see a new
+    :attr:`VideoDatabase.metadata_version` re-reads each clip's counts.
+    Under ``failure_policy="degraded"`` a clip whose catalog read or
+    delta load fails is logged and skipped, and the cursor only moves
+    when every clip refreshed cleanly, so the next round retries.
+    """
+    version = db.metadata_version
+    if version == corpus.source_version:
+        return
+    with corpus.lock:
+        if version == corpus.source_version:
+            return
+        all_refreshed = True
+        for clip_id in corpus.clip_ids:
+            try:
+                meta = db.dataset_meta(clip_id, corpus.event_name)
+                corpus.refresh(clip_id, n_bags=meta["n_bags"],
+                               n_instances=meta["n_instances"])
+            except (StorageError, OSError) as exc:
+                # ShardUnavailableError lands here too: refresh() has
+                # already quarantined the shard and the engine's next
+                # round reports it in its coverage.
+                if failure_policy == "strict":
+                    raise
+                all_refreshed = False
+                get_telemetry().event(
+                    "session.refresh_deferred", level="warning",
+                    clip=clip_id, corpus=corpus.corpus_id,
+                    reason=f"{type(exc).__name__}: {exc}")
+        if all_refreshed:
+            corpus.source_version = version
 
 
 class _QuerySessionBase:
@@ -461,7 +526,11 @@ class MultiClipQuerySession(_QuerySessionBase):
     stored datasets (see :mod:`repro.vision.calibration`).
 
     The corpus stays sharded per clip
-    (:class:`~repro.core.sharded.ShardedRetrievalEngine`): shards load
+    (:class:`~repro.core.sharded.ShardedRetrievalEngine`) and is shared:
+    every session over the same clips, event and retry schedule on the
+    same ``db`` object ranks one corpus (:func:`sharded_corpus`), so
+    shard loads, live appends, standardized matrices and Gram-cache
+    columns are paid once for all of them.  Shards load
     lazily, each ranking round merges per-shard rankings, and
     ``candidates_per_shard=M`` caps how many bags per shard the
     learning rule scores exactly (the rest keep their cheap heuristic
@@ -498,7 +567,6 @@ class MultiClipQuerySession(_QuerySessionBase):
         failure_policy: str = "strict",
         retry_policy: RetryPolicy | None = None,
         clock=None,
-        corpus: ShardedCorpus | None = None,
         engine_kwargs: dict | None = None,
         **kwargs,
     ) -> None:
@@ -510,19 +578,12 @@ class MultiClipQuerySession(_QuerySessionBase):
                 "nprobe/index_cells only apply to the IVF nominator "
                 "(pass nominator='ivf')"
             )
-        corpus_id = "merged:" + "+".join(clip_ids)
         self.clip_ids = list(clip_ids)
-        self._db_version = db.metadata_version
         self.failure_policy = failure_policy
-        if corpus is None:
-            corpus = sharded_corpus(db, clip_ids, event_name,
-                                    retry_policy=retry_policy, clock=clock)
-        elif corpus.corpus_id != corpus_id \
-                or corpus.event_name != event_name:
-            raise ConfigurationError(
-                f"injected corpus {corpus.corpus_id!r}/"
-                f"{corpus.event_name!r} does not match this "
-                f"session's {corpus_id!r}/{event_name!r}")
+        corpus = sharded_corpus(db, clip_ids, event_name,
+                                retry_policy=retry_policy, clock=clock)
+        # A shared corpus may predate appends the stored labels reference.
+        _catch_up(db, corpus, failure_policy)
         if nominator == "ivf":
             ivf_kwargs = {}
             if index_cells is not None:
@@ -534,49 +595,16 @@ class MultiClipQuerySession(_QuerySessionBase):
                          "failure_policy": failure_policy,
                          **(engine_kwargs or {}),
                          "candidates_per_shard": candidates_per_shard}
-        super().__init__(db, corpus_id, event_name, corpus,
+        super().__init__(db, corpus.corpus_id, event_name, corpus,
                          engine_kwargs=engine_kwargs, **kwargs)
 
     def _before_round(self) -> None:
-        """Pick up bags a streaming ingest appended since the last round.
-
-        Keyed on :attr:`VideoDatabase.metadata_version` (bumped by every
-        dataset write), so idle rounds cost one integer compare.  On a
-        change, each member clip's catalog counts are re-read and the
-        live shard absorbs the delta in place
-        (:meth:`~repro.core.sharded.ShardedCorpus.refresh`); the engine
-        notices the corpus mutation on its next rank/feed and retrains
-        over the grown corpus.
-
-        Under ``failure_policy="degraded"`` a clip whose catalog read or
-        delta load fails (busy database, corrupt blob) does not kill the
-        round: the failure is logged, the round proceeds on the state the
-        session already has, and — because the version cursor only
-        advances when *every* clip refreshed cleanly — the failed
-        refresh is retried on the next round.
-        """
-        version = self.db.metadata_version
-        if version == self._db_version:
-            return
-        all_refreshed = True
-        for clip_id in self.clip_ids:
-            try:
-                meta = self.db.dataset_meta(clip_id, self.event_name)
-                self.dataset.refresh(clip_id, n_bags=meta["n_bags"],
-                                     n_instances=meta["n_instances"])
-            except (StorageError, OSError) as exc:
-                # ShardUnavailableError lands here too: refresh() has
-                # already quarantined the shard and the engine's next
-                # round reports it in its coverage.
-                if self.failure_policy == "strict":
-                    raise
-                all_refreshed = False
-                get_telemetry().event(
-                    "session.refresh_deferred", level="warning",
-                    clip=clip_id, corpus=self.corpus_id,
-                    reason=f"{type(exc).__name__}: {exc}")
-        if all_refreshed:
-            self._db_version = version
+        """Pick up bags a streaming ingest appended since the corpus
+        last looked (see :func:`_catch_up`): the live shard absorbs the
+        delta in place (:meth:`~repro.core.sharded.ShardedCorpus.refresh`),
+        and the engine notices the corpus mutation on its next rank/feed
+        and retrains over the grown corpus."""
+        _catch_up(self.db, self.dataset, self.failure_policy)
 
     @property
     def last_coverage(self) -> CoverageReport | None:

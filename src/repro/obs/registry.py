@@ -95,7 +95,8 @@ DEFAULT_METRICS: tuple[tuple[str, str, str], ...] = (
     ("counter", "sharded.bags_appended",
      "bags absorbed in place by live corpus shards, by clip"),
     ("counter", "sharded.corpus_syncs",
-     "engine cache invalidations triggered by live corpus mutations"),
+     "engine rounds dropped (and models retrained) after a live corpus "
+     "mutation"),
     ("counter", "reliability.task.retries",
      "task attempts re-submitted after a transient failure, by reason"),
     ("counter", "reliability.task.timeouts",
@@ -141,7 +142,8 @@ DEFAULT_METRICS: tuple[tuple[str, str, str], ...] = (
     ("counter", "query.session_conflicts",
      "feedback rounds rejected by the optimistic session-round guard"),
     ("counter", "sharded.corpus_pool_hits",
-     "shared-corpus pool acquisitions served by an already-built corpus"),
+     "sessions that opened a corpus already open on their catalog "
+     "(shared, not built)"),
     ("counter", "service.requests",
      "retrieval-service HTTP requests handled, by route and status"),
     ("histogram", "service.request.latency_ms",

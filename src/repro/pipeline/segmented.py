@@ -83,14 +83,16 @@ class SegmentEmission:
 
 @dataclass
 class SegmentArtifact:
-    """Stored per-segment record: the emission plus the carry after it."""
+    """Stored per-segment record: the emission plus the carry after it
+    (a snapshot taken only when a store keeps the record; ``None``
+    otherwise)."""
 
     index: int
     frame_lo: int
     frame_hi: int
     frontier: int
     bags: list[Bag]
-    carry: SegmentCarry
+    carry: SegmentCarry | None
     n_open_tracks: int = 0
     n_finished_tracks: int = 0
     #: Final segment only: the finished track list and the full
@@ -278,7 +280,9 @@ class SegmentedRunner:
             artifact = SegmentArtifact(
                 index=i, frame_lo=lo, frame_hi=hi,
                 frontier=carry.emitter.last_frontier, bags=bags,
-                carry=copy.deepcopy(carry),
+                # Only store.save reads the carry; the live one moves on.
+                carry=(copy.deepcopy(carry) if self.store is not None
+                       else None),
                 n_open_tracks=len(carry.tracker.open_tracks),
                 n_finished_tracks=len(carry.tracker.finished_tracks),
                 tracks=tracks,

@@ -11,10 +11,12 @@ zero new dependencies:
   agnostic core: session create / feed / results / explain routed from
   ``(method, path, body)`` to JSON responses, sessions persisted in one
   catalog its worker threads share, each thread on its own connection
-  (any worker can resume any session), one shared read-only
-  :class:`~repro.core.sharded.ShardedCorpus` per ``(corpus, event)``
-  via :class:`~repro.core.sharded.CorpusPool` so concurrent users
-  amortize shard loads and Gram-cache kernel columns.
+  (any worker can resume any session).  Sessions share one
+  :class:`~repro.core.sharded.ShardedCorpus` per ``(clips, event)``
+  through the same registry library sessions use
+  (:func:`~repro.db.query.sharded_corpus`), so concurrent users
+  amortize shard loads, standardized matrices and Gram-cache kernel
+  columns.
 * :class:`~repro.service.http.RetrievalHTTPServer` — the repo's one
   stdlib ``asyncio`` HTTP/1.1 server (:mod:`repro.obs.live`) running in
   a background thread, dispatching request handling to a worker thread

@@ -1,12 +1,14 @@
 """Framework-agnostic core of the multi-tenant retrieval service.
 
 :class:`RetrievalService` owns the worker-side state — one catalog its
-worker threads share (each thread on its own connection), a refcounted
-pool of shared read-only corpora, and an in-memory cache of live
-session objects — and routes ``(method, path, body)`` triples to JSON
-responses.  It knows nothing about sockets; :mod:`repro.service.http`
-(or any other front end, or a test calling
-:meth:`RetrievalService.handle` directly) supplies the transport.
+worker threads share (each thread on its own connection), and an
+in-memory cache of live session objects, which share one corpus per
+``(clips, event)`` through the catalog's corpus registry
+(:func:`~repro.db.query.sharded_corpus`) — and routes
+``(method, path, body)`` triples to JSON responses.  It knows nothing
+about sockets; :mod:`repro.service.http` (or any other front end, or a
+test calling :meth:`RetrievalService.handle` directly) supplies the
+transport.
 
 Session lifecycle
 -----------------
@@ -27,9 +29,8 @@ import threading
 import time
 from urllib.parse import parse_qs
 
-from repro.core.sharded import CorpusPool
 from repro.db.database import VideoDatabase
-from repro.db.query import MultiClipQuerySession, sharded_corpus
+from repro.db.query import MultiClipQuerySession
 from repro.db.schema import SessionRecord
 from repro.errors import (
     ConfigurationError,
@@ -67,12 +68,11 @@ class _HTTPError(ReproError):
 class _SessionEntry:
     """One resident session: the object plus its serialization lock."""
 
-    __slots__ = ("lock", "session", "corpus_key", "last_used")
+    __slots__ = ("lock", "session", "last_used")
 
     def __init__(self) -> None:
         self.lock = threading.RLock()
         self.session: MultiClipQuerySession | None = None
-        self.corpus_key: str | None = None
         self.last_used = 0
 
 
@@ -131,7 +131,6 @@ class RetrievalService:
                 "':memory:' catalog is one connection, which every worker "
                 "thread would share")
         self.db = VideoDatabase(db_path, busy_timeout_ms=busy_timeout_ms)
-        self.pool = CorpusPool()
         self.max_sessions = int(max_sessions)
         self.default_top_k = int(default_top_k)
         self.ledger = bool(ledger)
@@ -430,7 +429,8 @@ class RetrievalService:
         } for rec in self.db.session_records()]})
 
     def _close(self, sid: str) -> tuple[int, str, bytes]:
-        """Evict the resident session object (frees its corpus ref).
+        """Evict the resident session object; a corpus no other session
+        holds is freed with it.
 
         The durable record and label history stay — a later request
         resumes the session as if on a fresh worker.
@@ -475,7 +475,11 @@ class RetrievalService:
             if entry.session is not None:
                 return entry, False
             try:
-                entry.session = self._build_session(record, entry)
+                entry.session = MultiClipQuerySession(
+                    self.db, list(record.clip_ids), record.event_name,
+                    user_id=record.user_id, engine=record.engine,
+                    top_k=record.top_k, ledger=self.ledger,
+                    **record.params)
             except BaseException:
                 with self._lock:
                     if self._sessions.get(record.session_id) is entry:
@@ -487,23 +491,6 @@ class RetrievalService:
             get_telemetry().gauge("service.sessions_active").set(resident)
         self._evict_lru(keep=record.session_id)
         return entry, True
-
-    def _build_session(self, record: SessionRecord,
-                       entry: _SessionEntry) -> MultiClipQuerySession:
-        corpus_key = f"{record.corpus_id}::{record.event_name}"
-        clip_ids, event = list(record.clip_ids), record.event_name
-        corpus = self.pool.acquire(
-            corpus_key, lambda: sharded_corpus(self.db, clip_ids, event))
-        try:
-            session = MultiClipQuerySession(
-                self.db, clip_ids, event, user_id=record.user_id,
-                engine=record.engine, top_k=record.top_k,
-                ledger=self.ledger, corpus=corpus, **record.params)
-        except BaseException:
-            self.pool.release(corpus_key)
-            raise
-        entry.corpus_key = corpus_key
-        return session
 
     def _close_session(self, sid: str, *, blocking: bool = True) -> bool:
         with self._lock:
@@ -519,9 +506,6 @@ class RetrievalService:
                 del self._sessions[sid]
                 resident = sum(1 for e in self._sessions.values()
                                if e.session is not None)
-            if entry.corpus_key is not None:
-                self.pool.release(entry.corpus_key)
-                entry.corpus_key = None
             entry.session = None
             get_telemetry().gauge("service.sessions_active").set(resident)
             return True

@@ -2,11 +2,13 @@
 cross-worker resume, corpus sharing, and the HTTP front end."""
 
 import asyncio
+import gc
 import http.client
 import json
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -228,13 +230,17 @@ class TestCorpusSharing:
         _, clips = service_db
         sid_a = _create(service, clips, user="gil")[1]["session"]
         sid_b = _create(service, clips, user="hana")[1]["session"]
-        key = f"merged:{'+'.join(clips)}::accident"
-        assert service.pool.refcount(key) == 2
         a = service._sessions[sid_a].session
         b = service._sessions[sid_b].session
         assert a.dataset is b.dataset  # one ShardedCorpus, one GramCache
+        corpus = weakref.ref(a.dataset)
+        del a, b
         _call(service, "DELETE", f"/sessions/{sid_a}")
-        assert service.pool.refcount(key) == 1
+        gc.collect()
+        assert corpus() is not None  # the other session still holds it
+        _call(service, "DELETE", f"/sessions/{sid_b}")
+        gc.collect()
+        assert corpus() is None
 
     def test_lru_eviction_keeps_cap(self, service_db):
         path, clips = service_db

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import ConfigurationError, StorageError
 from repro.obs import Telemetry, set_telemetry
+from repro.pipeline import segmented
 from repro.pipeline import (
     DiskArtifactStore,
     MemoryArtifactStore,
@@ -152,6 +153,26 @@ class TestResume:
             len(runner.artifacts.dataset.bags)
         names = {s.name for s in t.spans}
         assert {"ingest.segment", "pipeline.stream"} <= names
+
+
+class TestCarryCopy:
+    def test_no_store_copies_no_carry(self, small_tunnel, tunnel_batch,
+                                      monkeypatch):
+        """Only a store reads a segment's carry snapshot, so a stream
+        without one never deep-copies the carry."""
+        copies = []
+        deepcopy = segmented.copy.deepcopy
+
+        def counting(obj, *args, **kwargs):
+            copies.append(type(obj).__name__)
+            return deepcopy(obj, *args, **kwargs)
+
+        monkeypatch.setattr(segmented.copy, "deepcopy", counting)
+        runner = SegmentedRunner(segment_frames=100)
+        emissions = list(runner.stream(small_tunnel))
+        assert len(emissions) == 5
+        assert copies == []
+        assert_matches_reference(runner.artifacts, tunnel_batch)
 
 
 class TestFirstWindow:

@@ -10,6 +10,8 @@ retrieval engine has to reproduce what it ranked before:
 * the baselines: Weighted-RF on the Fig. 8 and Fig. 9 clips under
   percentage and linear weight normalization, and Diverse Density and
   EM-DD on a small synthetic dataset;
+* a single-clip session over a stored clip, resumed in a new session
+  object part way through;
 * multi-clip sessions: IVF-nominated with pruning, degraded under a
   fault plan that fails chosen shard loads (a full outage, then one
   shard missing, then recovery), fed by streaming appends, and driven
@@ -49,7 +51,12 @@ from repro.core import (
     OracleUser,
     WeightedRFEngine,
 )
-from repro.db import MultiClipQuerySession, StreamingIngest, VideoDatabase
+from repro.db import (
+    MultiClipQuerySession,
+    SemanticQuerySession,
+    StreamingIngest,
+    VideoDatabase,
+)
 from repro.eval import build_artifacts
 from repro.events.models import event_model_for
 from repro.pipeline.config import RenderConfig, SegmentConfig
@@ -209,6 +216,26 @@ def case_diverse_density_toy(clips, tmp_path):
 
 def case_emdd_toy(clips, tmp_path):
     return _toy_protocol(EMDDEngine)
+
+
+def case_single_clip_session(clips, tmp_path):
+    """The 5-round protocol through a stored clip's query session; a new
+    session object resumes the stored history after round 2."""
+    db = VideoDatabase()
+    clip = _ingest(db, clips)[0]
+    oracle = OracleUser(clips[2][clip])
+
+    def open_session():
+        return SemanticQuerySession(db, clip, EVENT, user_id="golden",
+                                    top_k=TOP_K)
+
+    session = open_session()
+    rounds = [_session_round(session, oracle) for _ in range(2)]
+    session = open_session()
+    assert session.round_index == 2
+    rounds += [_session_round(session, oracle)
+               for _ in range(PROTOCOL_ROUNDS - 2)]
+    return rounds
 
 
 def case_multiclip_ivf(clips, tmp_path):

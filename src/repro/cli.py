@@ -15,9 +15,10 @@ Subcommands mirror the lifecycle of the paper's system:
   plus catalog/array cross-checks); ``--repair`` rebuilds damaged
   datasets from the artifact cache or prunes them to consistency.
 
-Multi-clip queries take ``--strict`` (default: a failing clip aborts
-the query) or ``--degraded`` (serve the healthy shards and print an
-explicit coverage report).
+Queries over one clip (``--clip``) or several (``--clips``) take the
+same flags, among them ``--strict`` (default: a failing clip aborts the
+query) or ``--degraded`` (serve the healthy shards and print an explicit
+coverage report).
 
 Example session::
 
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_args(query)
     query.add_argument("--candidates-per-shard", type=int, default=None,
                        help="exact-score at most M bags per shard "
-                            "(multi-clip only; rest keep heuristic order)")
+                            "(the rest keep heuristic order)")
     _add_nominator_args(query)
     _add_session_obs_args(query)
 
@@ -633,24 +634,11 @@ def _open_session(db, args, **kwargs):
     clip, clips = _clip_selection(args)
     if clip is None and clips is None:
         return None
+    if kwargs.get("failure_policy") is None:
+        kwargs.pop("failure_policy", None)
     if clips is not None:
-        if kwargs.get("failure_policy") is None:
-            kwargs.pop("failure_policy", None)
         return MultiClipQuerySession(db, clips, args.event,
                                      user_id=args.user, **kwargs)
-    if kwargs.pop("failure_policy", None) == "degraded":
-        print("--degraded needs a multi-clip query (--clips): the shard "
-              "is the failure domain", file=sys.stderr)
-        return None
-    if kwargs.pop("candidates_per_shard", None) is not None:
-        print("--candidates-per-shard needs a multi-clip query (--clips)",
-              file=sys.stderr)
-        return None
-    if any(kwargs.pop(k, None) is not None
-           for k in ("nominator", "index_cells", "nprobe")):
-        print("--nominator/--index-cells/--nprobe need a multi-clip "
-              "query (--clips)", file=sys.stderr)
-        return None
     return SemanticQuerySession(db, clip, args.event,
                                 user_id=args.user, **kwargs)
 
@@ -672,7 +660,7 @@ def _cmd_query(args) -> int:
         for rank, (bag_id, lo, hi) in enumerate(session.result_windows(),
                                                 start=1):
             print(f"  {rank:2d}. VS {bag_id:4d}  frames {lo}-{hi}")
-        coverage = getattr(session, "last_coverage", None)
+        coverage = session.last_coverage
         if coverage is not None and coverage.degraded:
             print(f"  ** {coverage.summary()}")
         _report_session_obs(args, session)

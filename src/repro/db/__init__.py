@@ -11,8 +11,13 @@ provides that layer:
   clips, tracks (stored both as raw points and as the paper's compact
   polynomial trajectory models), MIL datasets (VS/TS), and feedback
   labels, with bulk arrays in an npz side store.
-* :class:`~repro.db.query.SemanticQuerySession` — an interactive query
-  (event type + retrieval engine) whose feedback rounds are persisted.
+* :class:`~repro.db.query.MultiClipQuerySession` — an interactive query
+  (event type + retrieval engine) over one or more stored clips, whose
+  feedback rounds are persisted; it ranks the clips' shared, live
+  corpus (:func:`~repro.db.query.sharded_corpus`), and
+  :class:`~repro.db.query.SemanticQuerySession` is its one-clip form.
+* :class:`~repro.db.ingest.StreamingIngest` — segment-by-segment
+  ingestion whose windows open sessions see as they land.
 """
 
 from repro.db.schema import ClipRecord, LabelRecord, SessionRecord, TrackRecord

@@ -1,18 +1,22 @@
 """Interactive semantic queries over the video database.
 
-A :class:`SemanticQuerySession` binds a stored clip + event model to a
-retrieval engine.  Each feedback round is persisted as label records, so
-a query can be resumed later ("the training set ... is built up
-gradually with the help of the user's feedback", paper Section 1) and
-different users' feedback histories stay separate (Section 1's point
-that relevance is user-specific).
+A query session binds stored clips and an event model to the retrieval
+engine.  Each feedback round is persisted as label records, so a query
+can be resumed later ("the training set ... is built up gradually with
+the help of the user's feedback", paper Section 1) and different users'
+feedback histories stay separate (Section 1's point that relevance is
+user-specific).
 
-Multi-clip queries (:class:`MultiClipQuerySession`) run on the sharded
-corpus (see :mod:`repro.core.sharded`): clips stay per-shard instead of
-being merged into one monolithic dataset, and an optional heuristic
+There is one session path.  :class:`MultiClipQuerySession` runs on the
+sharded corpus (see :mod:`repro.core.sharded`): clips stay per-shard
+instead of being merged into one monolithic dataset, and an optional
 prefilter bounds how many bags per shard the learning rule scores
-exactly each round.  Every session over the same clips of one
-:class:`VideoDatabase` shares one corpus (:func:`sharded_corpus`).
+exactly each round.  :class:`SemanticQuerySession` is that session over
+one clip.  Every session over the same clips of one
+:class:`VideoDatabase` shares one live corpus (:func:`sharded_corpus`),
+which absorbs streamed appends before each round.
+:func:`merged_corpus_id` and :func:`session_id_for` are the one place
+the corpus and session id formats are built.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from contextlib import contextmanager
 from functools import partial
 from typing import Mapping
 
-from repro.core.engine import MILRetrievalEngine
 from repro.core.rule import OneClassRule
 from repro.core.sharded import (
     CoverageReport,
@@ -39,7 +42,8 @@ from repro.obs import TailProfiler, get_telemetry, new_query_id, query_context
 from repro.reliability.retry import RetryPolicy
 
 __all__ = ["SemanticQuerySession", "MultiClipQuerySession",
-           "sharded_corpus", "ENGINE_FACTORIES"]
+           "sharded_corpus", "merged_corpus_id", "session_id_for",
+           "ENGINE_FACTORIES"]
 
 #: Engine name -> the learning rule the session's engine runs; a
 #: session's ``engine_kwargs`` configure the engine and its rule.
@@ -47,6 +51,18 @@ ENGINE_FACTORIES = {
     "mil_ocsvm": OneClassRule,
     "weighted_rf": WeightedRFRule,
 }
+
+
+def merged_corpus_id(clip_ids: list[str]) -> str:
+    """The id of the corpus over ``clip_ids`` (in order), and the history
+    key multi-clip sessions store their feedback under."""
+    return "merged:" + "+".join(clip_ids)
+
+
+def session_id_for(user_id: str, corpus_id: str, event_name: str) -> str:
+    """The durable id of one user's feedback history on one history key
+    and event: what the quality ledger and the service key sessions by."""
+    return f"{user_id}:{corpus_id}:{event_name}"
 
 
 #: Guards every catalog's ``corpora`` registry (check, then insert).
@@ -103,7 +119,7 @@ def sharded_corpus(db: VideoDatabase, clip_ids: list[str],
                   loader=partial(db.dataset, meta["clip_id"], event_name))
         for meta in metas
     ]
-    built = ShardedCorpus(specs, corpus_id="merged:" + "+".join(clip_ids),
+    built = ShardedCorpus(specs, corpus_id=merged_corpus_id(clip_ids),
                           event_name=event_name, retry_policy=retry_policy,
                           clock=clock)
     built.source_version = version
@@ -155,86 +171,15 @@ def _catch_up(db: VideoDatabase, corpus: ShardedCorpus,
 
 
 class _QuerySessionBase:
-    """Shared engine construction + feedback persistence/resume.
+    """The rounds of a query session: ranking reads, persisted feedback,
+    resume and resync, and the quality ledger.
 
-    ``corpus_id`` is the label-table key the feedback is stored under —
-    the clip id for single-clip sessions, a derived stable id for merged
-    corpora.  An engine name builds :attr:`engine_type` over ``dataset``
-    with the name's rule; an engine instance is used as it is.
+    :class:`MultiClipQuerySession` builds the state these methods use;
+    perfbench's tracer wraps ``results`` and ``feed`` on this class.
+    ``corpus_id`` is the *history key*, the label-table key the feedback
+    is stored under: the clip id for a :class:`SemanticQuerySession`,
+    :func:`merged_corpus_id` of the clips otherwise.
     """
-
-    engine_type: type[ShardedRetrievalEngine] = MILRetrievalEngine
-
-    def __init__(
-        self,
-        db: VideoDatabase,
-        corpus_id: str,
-        event_name: str,
-        dataset,
-        *,
-        user_id: str = "default",
-        engine="mil_ocsvm",
-        top_k: int = 20,
-        engine_kwargs: dict | None = None,
-        ledger: bool = True,
-        profiler: TailProfiler | float | None = None,
-        query_id: str | None = None,
-    ) -> None:
-        if top_k <= 0:
-            raise ConfigurationError("top_k must be positive")
-        if not user_id or ":" in user_id:
-            # The ledger key is "user:corpus:event".  The corpus id
-            # legitimately contains ':' ("merged:a+b"), so the only way
-            # to keep the triple unambiguous is to ban the delimiter in
-            # the user field — otherwise tenants "a:b"/corpus "c" and
-            # "a"/corpus "b:c" would merge their feedback histories.
-            raise ConfigurationError(
-                f"user_id must be non-empty and must not contain ':' "
-                f"(got {user_id!r})")
-        self.db = db
-        self.corpus_id = corpus_id
-        self.event_name = event_name
-        self.user_id = user_id
-        self.top_k = int(top_k)
-        self.dataset = dataset
-        #: Stable identity for the feedback history this session extends
-        #: — a resumed session lands in the same ledger session.
-        self.session_id = f"{user_id}:{corpus_id}:{event_name}"
-        #: Fresh per-session-object correlation id, stamped (via
-        #: :func:`repro.obs.query_context`) onto every span and event
-        #: either side of the process boundary.
-        self.query_id = query_id or new_query_id()
-        self.ledger = bool(ledger)
-        if isinstance(profiler, (int, float)):
-            profiler = TailProfiler(float(profiler))
-        self.profiler = profiler
-        self._class_cache: dict[str, dict[int, str]] = {}
-        self._class_cache_version: int | None = None
-        #: Serializes feed/results/resync so one session object can be
-        #: shared by service worker threads without interleaving a feed
-        #: mid-retrain with a ranking read.
-        self._round_lock = threading.RLock()
-        #: Rebuilds a fresh, unfed engine over the same corpus — what
-        #: :meth:`resync` replays the stored history into.  ``None``
-        #: for externally-owned engine instances.
-        self._engine_factory = None
-        if isinstance(engine, str):
-            try:
-                rule = ENGINE_FACTORIES[engine]
-            except KeyError:
-                raise ConfigurationError(
-                    f"unknown engine {engine!r}; available: "
-                    f"{sorted(ENGINE_FACTORIES)}"
-                ) from None
-            self._engine_factory = partial(
-                self.engine_type, dataset, rule=rule, **(engine_kwargs or {}))
-            engine = self._engine_factory()
-        self.engine = engine
-        #: Set when a label write failed after the engine took the
-        #: labels; the next round resyncs before it ranks.
-        self._stale = False
-        # Resume: replay this user's stored feedback into the engine.
-        self.round_index = self._replay_stored(self.engine)
 
     def _replay_stored(self, engine) -> int:
         """Feed the stored label history into ``engine``; return the
@@ -258,16 +203,13 @@ class _QuerySessionBase:
         The recovery path after :class:`~repro.errors.SessionConflictError`:
         another worker committed a round this session object never saw,
         so its engine state has diverged from the durable history.  A
-        fresh engine is built (same corpus — shard Gram caches are
-        reused) and the winning history replayed into it; returns the
-        next round index.  Requires the session to own its engine
-        construction (an engine *name*).
+        fresh engine is built over the same corpus (its shard Gram caches
+        are reused), caught up on appends the history may reference, and
+        the winning history replayed into it; returns the next round
+        index.
         """
         with self._round_lock:
-            if self._engine_factory is None:
-                raise ConfigurationError(
-                    "cannot resync a session built around an externally-"
-                    "owned engine instance; pass an engine name")
+            _catch_up(self.db, self.dataset, self.failure_policy)
             engine = self._engine_factory()
             self.round_index = self._replay_stored(engine)
             self.engine = engine
@@ -275,18 +217,16 @@ class _QuerySessionBase:
             return self.round_index
 
     def _start_round(self) -> None:
-        """Resync after a failed label write, then run the round hook."""
+        """Pick up bags a streaming ingest appended since the corpus last
+        looked (see :func:`_catch_up`), through :meth:`resync` after a
+        failed label write.  The live shard absorbs the delta in place
+        (:meth:`~repro.core.sharded.ShardedCorpus.refresh`), and the
+        engine notices the corpus mutation on its next rank/feed and
+        retrains over the grown corpus."""
         if self._stale:
             self.resync()
-        self._before_round()
-
-    def _before_round(self) -> None:
-        """Hook called before every ranking read and feedback round.
-
-        Sessions over live corpora override this to sync with the
-        database (pick up bags appended by a concurrent streaming
-        ingest) without being recreated.  Default: no-op.
-        """
+        else:
+            _catch_up(self.db, self.dataset, self.failure_policy)
 
     @contextmanager
     def _observed_round(self, op: str):
@@ -380,13 +320,13 @@ class _QuerySessionBase:
                 "hit_rate": (hits / looked_up) if looked_up else None,
             },
         }
-        stats = getattr(self.engine, "last_round_stats", None)
+        stats = self.engine.last_round_stats
         if stats is not None:
             detail["engine"] = stats
             detail["nomination_recall"] = stats.get("nomination_recall")
             detail["bags_scanned_fraction"] = stats.get(
                 "bags_scanned_fraction")
-        coverage = getattr(self.engine, "last_coverage", None)
+        coverage = self.engine.last_coverage
         if coverage is not None:
             detail["coverage"] = {
                 "summary": coverage.summary(),
@@ -489,54 +429,41 @@ class _QuerySessionBase:
                 ], expect_round=self.round_index)
             except SessionConflictError:
                 get_telemetry().counter("query.session_conflicts").inc()
-                if self._engine_factory is not None:
-                    self.resync()
+                self.resync()
                 raise
             self._stale = False
             self.round_index += 1
 
 
-class SemanticQuerySession(_QuerySessionBase):
-    """One user's interactive query against one clip/event dataset."""
-
-    def __init__(
-        self,
-        db: VideoDatabase,
-        clip_id: str,
-        event_name: str,
-        **kwargs,
-    ) -> None:
-        super().__init__(db, clip_id, event_name,
-                         db.dataset(clip_id, event_name), **kwargs)
-
-    @property
-    def clip_id(self) -> str:
-        return self.corpus_id
-
-
 class MultiClipQuerySession(_QuerySessionBase):
-    """One query over several clips as a single retrievable corpus.
+    """One user's interactive query over one or more stored clips as a
+    single retrievable corpus.
 
     The paper's goal state: "Ideally, all the video clips in a
     transportation surveillance video database shall be mined and
     retrieved as a whole" (Section 6.2).  Feedback is persisted under a
-    stable corpus id derived from the (ordered) clip ids, so a resumed
-    session over the same clips continues where it left off.  For clips
-    from different cameras, normalize the tracks before building the
-    stored datasets (see :mod:`repro.vision.calibration`).
+    stable history key derived from the (ordered) clip ids
+    (:func:`merged_corpus_id`), so a resumed session over the same clips
+    continues where it left off; ``user_id`` keeps users' histories
+    apart.  For clips from different cameras, normalize the tracks
+    before building the stored datasets (see
+    :mod:`repro.vision.calibration`).
 
     The corpus stays sharded per clip
-    (:class:`~repro.core.sharded.ShardedRetrievalEngine`) and is shared:
-    every session over the same clips, event and retry schedule on the
-    same ``db`` object ranks one corpus (:func:`sharded_corpus`), so
-    shard loads, live appends, standardized matrices and Gram-cache
-    columns are paid once for all of them.  Shards load
-    lazily, each ranking round merges per-shard rankings, and
-    ``candidates_per_shard=M`` caps how many bags per shard the
-    learning rule scores exactly (the rest keep their cheap heuristic
-    order after all candidates — a recall/latency knob).  With
-    ``candidates_per_shard=None`` the ranking matches the engine over
-    the :func:`~repro.core.bags.merge_datasets` corpus, for either
+    (:class:`~repro.core.sharded.ShardedRetrievalEngine`) and is shared
+    and live: every session over the same clips, event and retry
+    schedule on the same ``db`` object ranks one corpus
+    (:func:`sharded_corpus`), so shard loads, live appends, standardized
+    matrices and Gram-cache columns are paid once for all of them, and
+    the session absorbs bags a streaming ingest appended before its
+    replay and before every round.  ``engine`` names the learning rule
+    (:data:`ENGINE_FACTORIES`); ``engine_kwargs`` configure the engine
+    and its rule.  Shards load lazily, each ranking round merges
+    per-shard rankings, and ``candidates_per_shard=M`` caps how many
+    bags per shard the learning rule scores exactly (the rest keep their
+    cheap heuristic order after all candidates — a recall/latency knob).
+    With ``candidates_per_shard=None`` the ranking matches the engine
+    over the :func:`~repro.core.bags.merge_datasets` corpus, for either
     engine name.  ``nominator="ivf"`` switches stage one from the static
     heuristic prefilter to a probe of each shard's IVF index
     (``index_cells`` / ``nprobe`` tune it) — sublinear nomination with
@@ -552,14 +479,15 @@ class MultiClipQuerySession(_QuerySessionBase):
     their artifacts heal.
     """
 
-    engine_type = ShardedRetrievalEngine
-
     def __init__(
         self,
         db: VideoDatabase,
         clip_ids: list[str],
         event_name: str,
         *,
+        user_id: str = "default",
+        engine: str = "mil_ocsvm",
+        top_k: int = 20,
         candidates_per_shard: int | None = None,
         nominator: str = "heuristic",
         index_cells: int | None = None,
@@ -568,22 +496,65 @@ class MultiClipQuerySession(_QuerySessionBase):
         retry_policy: RetryPolicy | None = None,
         clock=None,
         engine_kwargs: dict | None = None,
-        **kwargs,
+        ledger: bool = True,
+        profiler: TailProfiler | float | None = None,
+        query_id: str | None = None,
     ) -> None:
         if not clip_ids:
             raise ConfigurationError("need >= 1 clip id")
+        if top_k <= 0:
+            raise ConfigurationError("top_k must be positive")
+        if not user_id or ":" in user_id:
+            # The session id is "user:corpus:event".  The history key
+            # legitimately contains ':' ("merged:a+b"), so the only way
+            # to keep the triple unambiguous is to ban the delimiter in
+            # the user field — otherwise tenants "a:b"/corpus "c" and
+            # "a"/corpus "b:c" would merge their feedback histories.
+            raise ConfigurationError(
+                f"user_id must be non-empty and must not contain ':' "
+                f"(got {user_id!r})")
+        try:
+            rule = ENGINE_FACTORIES[engine]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown engine {engine!r}; available: "
+                f"{sorted(ENGINE_FACTORIES)}"
+            ) from None
         if (nprobe is not None or index_cells is not None) \
                 and nominator != "ivf":
             raise ConfigurationError(
                 "nprobe/index_cells only apply to the IVF nominator "
                 "(pass nominator='ivf')"
             )
+        self.db = db
         self.clip_ids = list(clip_ids)
+        self.corpus_id = self._history_key()
+        self.event_name = event_name
+        self.user_id = user_id
+        self.top_k = int(top_k)
         self.failure_policy = failure_policy
-        corpus = sharded_corpus(db, clip_ids, event_name,
-                                retry_policy=retry_policy, clock=clock)
+        #: Stable identity for the feedback history this session extends
+        #: — a resumed session lands in the same ledger session.
+        self.session_id = session_id_for(user_id, self.corpus_id,
+                                         event_name)
+        #: Fresh per-session-object correlation id, stamped (via
+        #: :func:`repro.obs.query_context`) onto every span and event
+        #: either side of the process boundary.
+        self.query_id = query_id or new_query_id()
+        self.ledger = bool(ledger)
+        if isinstance(profiler, (int, float)):
+            profiler = TailProfiler(float(profiler))
+        self.profiler = profiler
+        self._class_cache: dict[str, dict[int, str]] = {}
+        self._class_cache_version: int | None = None
+        #: Serializes feed/results/resync so one session object can be
+        #: shared by service worker threads without interleaving a feed
+        #: mid-retrain with a ranking read.
+        self._round_lock = threading.RLock()
+        self.dataset = sharded_corpus(db, self.clip_ids, event_name,
+                                      retry_policy=retry_policy, clock=clock)
         # A shared corpus may predate appends the stored labels reference.
-        _catch_up(db, corpus, failure_policy)
+        _catch_up(db, self.dataset, failure_policy)
         if nominator == "ivf":
             ivf_kwargs = {}
             if index_cells is not None:
@@ -595,16 +566,20 @@ class MultiClipQuerySession(_QuerySessionBase):
                          "failure_policy": failure_policy,
                          **(engine_kwargs or {}),
                          "candidates_per_shard": candidates_per_shard}
-        super().__init__(db, corpus.corpus_id, event_name, corpus,
-                         engine_kwargs=engine_kwargs, **kwargs)
+        #: Builds a fresh, unfed engine over the corpus — what
+        #: :meth:`resync` replays the stored history into.
+        self._engine_factory = partial(
+            ShardedRetrievalEngine, self.dataset, rule=rule, **engine_kwargs)
+        self.engine = self._engine_factory()
+        #: Set when a label write failed after the engine took the
+        #: labels; the next round resyncs before it ranks.
+        self._stale = False
+        # Resume: replay this user's stored feedback into the engine.
+        self.round_index = self._replay_stored(self.engine)
 
-    def _before_round(self) -> None:
-        """Pick up bags a streaming ingest appended since the corpus
-        last looked (see :func:`_catch_up`): the live shard absorbs the
-        delta in place (:meth:`~repro.core.sharded.ShardedCorpus.refresh`),
-        and the engine notices the corpus mutation on its next rank/feed
-        and retrains over the grown corpus."""
-        _catch_up(self.db, self.dataset, self.failure_policy)
+    def _history_key(self) -> str:
+        """The label-table key this session's feedback is stored under."""
+        return merged_corpus_id(self.clip_ids)
 
     @property
     def last_coverage(self) -> CoverageReport | None:
@@ -624,3 +599,25 @@ class MultiClipQuerySession(_QuerySessionBase):
         the honest-degraded contract in one call."""
         ids = self.results(vehicle_class=vehicle_class)
         return ids, self.last_coverage
+
+
+class SemanticQuerySession(MultiClipQuerySession):
+    """One user's interactive query against one stored clip/event dataset.
+
+    A :class:`MultiClipQuerySession` over ``[clip_id]``: it shares the
+    clip's live corpus with every session over that clip and takes the
+    same options.  Its history key is the clip id itself, so feedback
+    stored by a single-clip session and by a one-clip multi-clip session
+    (``merged:<clip>``) stay apart.
+    """
+
+    def __init__(self, db: VideoDatabase, clip_id: str, event_name: str,
+                 **kwargs) -> None:
+        super().__init__(db, [clip_id], event_name, **kwargs)
+
+    def _history_key(self) -> str:
+        return self.clip_id
+
+    @property
+    def clip_id(self) -> str:
+        return self.clip_ids[0]

@@ -30,7 +30,11 @@ import time
 from urllib.parse import parse_qs
 
 from repro.db.database import VideoDatabase
-from repro.db.query import MultiClipQuerySession
+from repro.db.query import (
+    MultiClipQuerySession,
+    merged_corpus_id,
+    session_id_for,
+)
 from repro.db.schema import SessionRecord
 from repro.errors import (
     ConfigurationError,
@@ -308,9 +312,9 @@ class RetrievalService:
         for name in _INT_PARAMS:
             if extra.get(name) is not None:
                 _json_int(extra[name], f"params.{name}")
-        corpus_id = "merged:" + "+".join(clips)
+        corpus_id = merged_corpus_id(clips)
         record = SessionRecord(
-            session_id=f"{user}:{corpus_id}:{event}", user_id=user,
+            session_id=session_id_for(user, corpus_id, event), user_id=user,
             corpus_id=corpus_id, event_name=event,
             clip_ids=tuple(clips), engine=engine, top_k=top_k,
             params=dict(extra))

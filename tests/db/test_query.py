@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MILRetrievalEngine, OracleUser
+from repro.core import OracleUser
 from repro.db import MultiClipQuerySession, SemanticQuerySession, VideoDatabase
 from repro.errors import ConfigurationError, DatabaseBusyError
 from repro.eval import build_artifacts
@@ -66,14 +66,6 @@ class TestSemanticQuerySession:
                                   user_id="b", top_k=5)
         assert s2.round_index == 0
         assert not s2.engine.labels
-
-    def test_custom_engine_instance(self, db_with_clip, small_tunnel):
-        db, _ = db_with_clip
-        dataset = db.dataset(small_tunnel.name, "accident")
-        engine = MILRetrievalEngine(dataset, training_policy="top2")
-        session = SemanticQuerySession(db, small_tunnel.name, "accident",
-                                       engine=engine)
-        assert session.engine is engine
 
     def test_engine_registry(self, db_with_clip, small_tunnel):
         db, _ = db_with_clip

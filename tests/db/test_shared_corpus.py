@@ -18,7 +18,10 @@ import pytest
 
 from repro.core.sharded import ShardedRetrievalEngine
 from repro.db import (ClipRecord, LabelRecord, MultiClipQuerySession,
-                      StreamingIngest, VideoDatabase, sharded_corpus)
+                      SemanticQuerySession, StreamingIngest, VideoDatabase,
+                      sharded_corpus)
+from repro.db.query import merged_corpus_id
+from repro.errors import SessionConflictError
 from repro.eval import build_artifacts
 from repro.obs import Telemetry, set_telemetry
 from repro.pipeline import MemoryArtifactStore
@@ -185,6 +188,61 @@ class TestStaleJoin:
         # The first session absorbs the rest on its next round.
         opened["a"].results()
         assert len(opened["a"].dataset) == catalog_bags()
+
+
+class TestSingleClipSession:
+    """A single-clip session is a one-clip multi-clip session: it shares
+    the clip's live corpus and keeps its history under the clip id."""
+
+    def test_shares_the_corpus_and_keeps_its_own_history(self):
+        db = VideoDatabase()
+        _seed(db)
+        single = SemanticQuerySession(db, "a", EVENT, user_id="u")
+        multi = MultiClipQuerySession(db, ["a"], EVENT, user_id="u")
+        assert single.dataset is multi.dataset
+        single.feed({0: True})
+        multi.feed({1: True})
+        assert single.engine.labels == {0: True}
+        assert multi.engine.labels == {1: True}
+        assert [r.bag_id for r in db.labels("a", EVENT, "u")] == [0]
+        assert [r.bag_id for r in db.labels(
+            merged_corpus_id(["a"]), EVENT, "u")] == [1]
+
+    def test_conflict_after_appends_resyncs_onto_the_grown_corpus(
+            self, small_intersection):
+        # Regression: a single-clip session used to rank a private copy
+        # of the clip as it was when the session opened.  Once another
+        # session object of the same user had labelled an appended bag,
+        # the conflict resync replayed that label into an engine over
+        # the stale copy, and it and every later round raised
+        # "labels reference unknown bag ids" instead of the conflict.
+        db = VideoDatabase()
+        clip = small_intersection.name
+        opened, ranked = [], []
+
+        def after_append(emission):
+            if emission.bags and not opened:
+                session = SemanticQuerySession(db, clip, EVENT,
+                                               user_id="u", top_k=100)
+                opened.append(session)
+                ranked.append(len(session.results()))
+
+        StreamingIngest(db, small_intersection, segment_frames=100,
+                        store=MemoryArtifactStore()).run(
+            progress=after_append)
+        first, appended = opened[0], ranked[0]
+        n_bags = db.dataset_meta(clip, EVENT)["n_bags"]
+        assert appended < n_bags
+        SemanticQuerySession(db, clip, EVENT, user_id="u").feed(
+            {appended: True})
+        with pytest.raises(SessionConflictError):
+            first.feed({0: False})
+        assert first.round_index == 1
+        assert len(first.results()) == n_bags
+        first.feed({0: False})
+        assert [(r.round_index, r.bag_id) for r in db.labels(
+            clip, EVENT, "u")] == [(0, appended), (1, 0)]
+        assert db.labels(merged_corpus_id([clip]), EVENT, "u") == []
 
 
 def _backing():

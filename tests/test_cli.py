@@ -123,11 +123,11 @@ class TestNominatorFlags:
                      "--nprobe", "4"]) == 1
         assert "--nominator ivf" in capsys.readouterr().err
 
-    def test_nominator_needs_multi_clip(self, db_path, capsys):
+    def test_ivf_query_single_clip(self, db_path, capsys):
         _simulate(db_path)
         assert main(["query", "--db", db_path, "--clip", "tunnel",
-                     "--nominator", "ivf"]) == 2
-        assert "multi-clip" in capsys.readouterr().err
+                     "--nominator", "ivf", "--top-k", "5"]) == 0
+        assert capsys.readouterr().out.count("VS") == 5
 
     def test_experiment_without_nominator_support_rejected(self, capsys):
         assert main(["experiment", "--name", "other_events",

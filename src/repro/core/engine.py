@@ -28,7 +28,7 @@ class MILRetrievalEngine(ShardedRetrievalEngine):
     corpus of ``dataset``, which stays available as :attr:`dataset`;
     keyword arguments configure the engine and its rule (``z``,
     ``kernel``, ``gamma``, ``training_policy``, ``nu_bounds``,
-    ``learner``, ``warm_start``, ...).
+    ``learner``, ...).
     The shard keeps the dataset's ids, so they must already be
     positional: bag ids ``0..n-1`` in order and instance ids ``0..N-1``
     bag-contiguously, as every builder in this package numbers them.

@@ -94,9 +94,7 @@ class OneClassRule:
     ``learner`` is ``"ocsvm"`` (Schoelkopf's hyperplane machine, the
     paper's cited learner) or ``"svdd"`` (Tax & Duin's hypersphere, the
     "ball" of the paper's Figure 5); ``kernel`` / ``gamma`` are passed to
-    it.  With ``warm_start`` each OCSVM solve is seeded with the previous
-    round's alphas, matched by instance id: same optimum within solver
-    tolerance, fewer iterations per round.
+    it.
 
     A whole shard is scored through the shard's
     :class:`~repro.svm.gram_cache.GramCache`, so warm rounds reuse kernel
@@ -109,7 +107,7 @@ class OneClassRule:
     def __init__(self, *, z: float = 0.05, kernel: str | Kernel = "rbf",
                  gamma: float | str = "auto", training_policy: str = "top1",
                  nu_bounds: tuple[float, float] = (0.05, 0.95),
-                 learner: str = "ocsvm", warm_start: bool = False) -> None:
+                 learner: str = "ocsvm") -> None:
         check_in_range("z", z, 0.0, 0.5)
         self.top_m = parse_policy(training_policy)
         lo, hi = nu_bounds
@@ -124,8 +122,6 @@ class OneClassRule:
         self.gamma = gamma
         self.nu_bounds = (float(lo), float(hi))
         self.learner = learner
-        self.warm_start = bool(warm_start)
-        self._previous_alpha: dict[int, float] = {}
         self.reset()
 
     def reset(self) -> None:
@@ -154,14 +150,8 @@ class OneClassRule:
         if self.learner == "svdd":
             model = SVDD(nu=nu, kernel=self.kernel, gamma=self.gamma).fit(x)
         else:
-            alpha0 = None
-            if self.warm_start and self._previous_alpha:
-                alpha0 = np.array([self._previous_alpha.get(i, 0.0)
-                                   for i in ids])
             model = OneClassSVM(nu=nu, kernel=self.kernel,
-                                gamma=self.gamma).fit(x, alpha0=alpha0)
-            if self.warm_start:
-                self._previous_alpha = dict(zip(ids, model.alpha_))
+                                gamma=self.gamma).fit(x)
         self.model = model
         self.support_ids = [ids[s] for s in model.support_]
         self.support_x = np.ascontiguousarray(model.support_vectors_)

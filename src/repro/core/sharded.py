@@ -990,8 +990,8 @@ class ShardedRetrievalEngine:
     built by ``rule`` from ``rule_kwargs``.  The default is the paper's
     :class:`~repro.core.rule.OneClassRule` (one-class SVM on the top
     heuristic Trajectory Sequences of the relevant bags, nu from Eq. 9;
-    ``z``, ``kernel``, ``gamma``, ``training_policy``, ``nu_bounds``,
-    ``learner`` and ``warm_start`` configure it).  Until the rule is
+    ``z``, ``kernel``, ``gamma``, ``training_policy``, ``nu_bounds``
+    and ``learner`` configure it).  Until the rule is
     fitted every bag keeps its heuristic initial score.  Scoring is
     organized shard by shard:
 

@@ -19,7 +19,7 @@ from repro.svm.kernels import (
 )
 from repro.svm.gram_cache import GramCache
 from repro.svm.scaling import StandardScaler
-from repro.svm.smo import SMOResult, project_feasible, solve_one_class_smo
+from repro.svm.smo import SMOResult, solve_one_class_smo
 from repro.svm.one_class import OneClassSVM
 from repro.svm.svdd import SVDD
 
@@ -32,7 +32,6 @@ __all__ = [
     "GramCache",
     "StandardScaler",
     "SMOResult",
-    "project_feasible",
     "solve_one_class_smo",
     "OneClassSVM",
     "SVDD",

@@ -85,14 +85,8 @@ class OneClassSVM:
     def is_fitted(self) -> bool:
         return self.support_vectors_ is not None
 
-    def fit(self, x: np.ndarray,
-            alpha0: np.ndarray | None = None) -> "OneClassSVM":
-        """Estimate the support of the distribution of ``x`` (rows).
-
-        ``alpha0`` warm-starts the SMO solver (projected to feasibility
-        first) — useful when refitting on a slightly grown training set,
-        as the relevance-feedback loop does every round.
-        """
+    def fit(self, x: np.ndarray) -> "OneClassSVM":
+        """Estimate the support of the distribution of ``x`` (rows)."""
         x = check_2d("x", x)
         kernel = resolve_kernel(self._kernel_spec, gamma=self._gamma,
                                 degree=self._degree, coef0=self._coef0)
@@ -101,8 +95,7 @@ class OneClassSVM:
         obs = get_telemetry()
         with obs.span("svm.fit", learner="ocsvm", n=x.shape[0]):
             result = solve_one_class_smo(gram, self.nu, tol=self.tol,
-                                         max_iter=self.max_iter,
-                                         alpha0=alpha0)
+                                         max_iter=self.max_iter)
         obs.histogram("svm.solver.iterations").observe(
             result.n_iter, learner="ocsvm")
         mask = result.support_mask

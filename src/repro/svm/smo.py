@@ -53,44 +53,6 @@ def _initial_alpha(n: int, nu: float) -> np.ndarray:
     return alpha
 
 
-def project_feasible(alpha0: np.ndarray, c: float) -> np.ndarray:
-    """Project a warm-start guess onto {0 <= a <= C, sum(a) = 1}.
-
-    Clips to the box, then spreads the remaining surplus/deficit across
-    the entries with room — cheap, and exact feasibility is all the
-    solver needs (optimality is its own job).
-    """
-    alpha = np.clip(np.asarray(alpha0, dtype=float), 0.0, c)
-    gap = 1.0 - alpha.sum()
-    for _ in range(64):  # a handful of passes always suffices
-        if abs(gap) < 1e-12:
-            break
-        if gap > 0:
-            room = c - alpha
-            movable = room > 1e-15
-            if not movable.any():
-                raise ConfigurationError(
-                    "cannot reach sum(alpha)=1: box too small (nu*n < 1?)"
-                )
-            add = np.zeros_like(alpha)
-            add[movable] = min(
-                gap / movable.sum(), float(room[movable].min()))
-            alpha += add
-        else:
-            mass = alpha > 1e-15
-            take = np.zeros_like(alpha)
-            take[mass] = min(-gap / mass.sum(), float(alpha[mass].min()))
-            alpha -= take
-        gap = 1.0 - alpha.sum()
-    alpha = np.clip(alpha, 0.0, c)
-    # Final exact touch-up on one entry with slack.
-    gap = 1.0 - alpha.sum()
-    if abs(gap) > 0:
-        idx = int(np.argmax((c - alpha) if gap > 0 else alpha))
-        alpha[idx] = np.clip(alpha[idx] + gap, 0.0, c)
-    return alpha
-
-
 def solve_one_class_smo(
     q: np.ndarray,
     nu: float,
@@ -99,7 +61,6 @@ def solve_one_class_smo(
     tol: float = 1e-4,
     max_iter: int = 100_000,
     strict: bool = False,
-    alpha0: np.ndarray | None = None,
 ) -> SMOResult:
     """Solve the one-class dual for a precomputed Gram matrix ``q``.
 
@@ -114,9 +75,6 @@ def solve_one_class_smo(
     max_iter:
         Iteration budget; on exhaustion the current iterate is returned
         (or :class:`ConvergenceError` is raised when ``strict``).
-    alpha0:
-        Optional warm-start guess (e.g. the previous feedback round's
-        solution); it is projected onto the feasible set first.
     linear:
         Optional linear term p: the objective becomes
         ``1/2 a^T Q a + p^T a``.  Zero for the Schoelkopf one-class
@@ -138,14 +96,7 @@ def solve_one_class_smo(
             raise ConfigurationError(
                 f"linear term has shape {linear.shape}, expected ({n},)"
             )
-    if alpha0 is not None:
-        if len(np.asarray(alpha0)) != n:
-            raise ConfigurationError(
-                f"alpha0 has length {len(np.asarray(alpha0))}, expected {n}"
-            )
-        alpha = project_feasible(alpha0, c)
-    else:
-        alpha = _initial_alpha(n, nu)
+    alpha = _initial_alpha(n, nu)
     gradient = q @ alpha
     if linear is not None:
         gradient = gradient + linear

@@ -168,16 +168,16 @@ class CorpusShard:
         self.metadata_version = int(metadata_version)
         self.bag_offset = int(bag_offset)
         self.instance_offset = int(instance_offset)
-        self.dataset = self._renumber(local)
-        self.n_bags = len(self.dataset.bags)
-        self.n_instances = self.dataset.n_instances
-
-        instances = self.dataset.all_instances()
+        self.dataset = MILDataset(
+            clip_id=local.clip_id,
+            event_name=local.event_name,
+            feature_names=local.feature_names,
+            window_size=local.window_size,
+            sampling_rate=local.sampling_rate,
+        )
+        self.n_bags = self.n_instances = 0
         self.matrix_raw: np.ndarray | None = None
-        if instances:
-            self.matrix_raw = np.ascontiguousarray(
-                np.stack([inst.vector for inst in instances]),
-                dtype=np.float64)
+        self._add_bags(local.bags)
         self.matrix: np.ndarray | None = None
         self.gram_cache: GramCache | None = None
         #: The corpus epoch ``matrix`` was standardized in (``None``
@@ -230,31 +230,34 @@ class CorpusShard:
         self._heuristic_rank: np.ndarray | None = None
         self._candidate_cache.clear()
 
-    def _renumber(self, local: MILDataset) -> MILDataset:
-        out = MILDataset(
-            clip_id=local.clip_id,
-            event_name=local.event_name,
-            feature_names=local.feature_names,
-            window_size=local.window_size,
-            sampling_rate=local.sampling_rate,
-        )
-        next_bag = self.bag_offset
-        next_inst = self.instance_offset
-        for bag in local.bags:
+    def _add_bags(self, bags) -> None:
+        """Append clip-local ``bags`` in order, renumbered into the
+        shard's global id ranges (the next bag id after the shard's last,
+        instance ids bag-contiguous), and their rows to ``matrix_raw``."""
+        next_bag = self.bag_offset + self.n_bags
+        next_inst = self.instance_offset + self.n_instances
+        rows = []
+        for bag in bags:
             instances = []
             for inst in bag.instances:
                 instances.append(Instance(
                     instance_id=next_inst, bag_id=next_bag,
                     track_id=inst.track_id, matrix=inst.matrix,
                 ))
+                rows.append(inst.vector)
                 next_inst += 1
-            out.bags.append(Bag(
+            self.dataset.bags.append(Bag(
                 bag_id=next_bag, clip_id=bag.clip_id,
                 frame_lo=bag.frame_lo, frame_hi=bag.frame_hi,
                 instances=tuple(instances),
             ))
             next_bag += 1
-        return out
+        self.n_bags = len(self.dataset.bags)
+        self.n_instances = next_inst - self.instance_offset
+        if rows:
+            block = np.ascontiguousarray(np.stack(rows), dtype=np.float64)
+            self.matrix_raw = (block if self.matrix_raw is None
+                               else np.vstack([self.matrix_raw, block]))
 
     @property
     def heuristic_order(self) -> np.ndarray:
@@ -308,20 +311,13 @@ class CorpusShard:
         cached = self._ivf_indexes.get(params)
         if cached is not None:
             return cached
-        index: IVFIndex | None = None
         if self.spec.index_loader is not None:
             prebuilt = self.spec.index_loader()
             if prebuilt is not None and prebuilt.params == params:
-                index = prebuilt
-        if index is None:
-            sizes = self.bag_sizes.astype(np.intp)
-            row_bags = np.repeat(
-                np.arange(self.n_bags, dtype=np.intp), sizes)
-            index = IVFIndex.build(
-                self.matrix_raw, row_bags, self.n_bags,
-                n_cells=n_cells, seed=seed, iters=iters)
-        self._ivf_indexes[params] = index
-        return index
+                self._ivf_indexes[params] = prebuilt
+                return prebuilt
+        return self.rebuild_ivf_index(n_cells=n_cells, seed=seed,
+                                      iters=iters)
 
     def append_local(self, bags) -> int:
         """Append newly streamed clip-local bags in place.
@@ -349,30 +345,7 @@ class CorpusShard:
                 f"shard {self.clip_id!r}: appended bag ids "
                 f"{[b.bag_id for b in fresh]} are not the contiguous tail "
                 f"{want}")
-        next_inst = self.instance_offset + self.n_instances
-        new_rows = []
-        for bag in fresh:
-            instances = []
-            for inst in bag.instances:
-                instances.append(Instance(
-                    instance_id=next_inst,
-                    bag_id=self.bag_offset + bag.bag_id,
-                    track_id=inst.track_id, matrix=inst.matrix,
-                ))
-                new_rows.append(inst.vector)
-                next_inst += 1
-            self.dataset.bags.append(Bag(
-                bag_id=self.bag_offset + bag.bag_id, clip_id=self.clip_id,
-                frame_lo=bag.frame_lo, frame_hi=bag.frame_hi,
-                instances=tuple(instances),
-            ))
-        self.n_bags = len(self.dataset.bags)
-        self.n_instances = self.dataset.n_instances
-        if new_rows:
-            block = np.ascontiguousarray(np.stack(new_rows),
-                                         dtype=np.float64)
-            self.matrix_raw = (block if self.matrix_raw is None
-                               else np.vstack([self.matrix_raw, block]))
+        self._add_bags(fresh)
         self.set_initial_scores(*heuristic_scores(self.dataset))
         self.matrix = None
         self.gram_cache = None
@@ -386,7 +359,7 @@ class CorpusShard:
 
     def rebuild_ivf_index(self, *, n_cells: int = 32, seed: int = 0,
                           iters: int = 15) -> IVFIndex:
-        """Rebuild (and re-memoize) the IVF index over the current rows.
+        """Build (and memoize) the IVF index over the current rows.
 
         Bypasses ``spec.index_loader`` — a prebuilt artifact predates
         any append by definition.  The nominator calls this when the
@@ -529,16 +502,7 @@ class ShardedCorpus:
         #: can step time instead of sleeping.
         self.retry_policy = retry_policy or RetryPolicy()
         self._clock = clock or time.monotonic
-        self._bag_offsets: list[int] = []
-        self._instance_offsets: list[int] = []
-        bags = insts = 0
-        for spec in self.specs:
-            self._bag_offsets.append(bags)
-            self._instance_offsets.append(insts)
-            bags += spec.n_bags
-            insts += spec.n_instances
-        self._n_bags = bags
-        self._n_instances = insts
+        self._lay_out()
         self._shards: dict[str, CorpusShard] = {}
         self._metadata_versions: dict[str, int] = {}
         self._mutations = 0
@@ -555,6 +519,20 @@ class ShardedCorpus:
         #: and shards are replaced wholesale, never mutated into
         #: inconsistency.
         self.lock = threading.RLock()
+
+    def _lay_out(self) -> None:
+        """Place the specs' id ranges back to back in spec order, the
+        :func:`~repro.core.bags.merge_datasets` layout."""
+        self._bag_offsets: list[int] = []
+        self._instance_offsets: list[int] = []
+        bags = insts = 0
+        for spec in self.specs:
+            self._bag_offsets.append(bags)
+            self._instance_offsets.append(insts)
+            bags += spec.n_bags
+            insts += spec.n_instances
+        self._n_bags = bags
+        self._n_instances = insts
 
     @property
     def mutation_count(self) -> int:
@@ -809,15 +787,7 @@ class ShardedCorpus:
                 self._shards.pop(later)
                 self._metadata_versions[later] = \
                     self._metadata_versions.get(later, 0) + 1
-        bags = insts = 0
-        self._bag_offsets, self._instance_offsets = [], []
-        for spec in self.specs:
-            self._bag_offsets.append(bags)
-            self._instance_offsets.append(insts)
-            bags += spec.n_bags
-            insts += spec.n_instances
-        self._n_bags = bags
-        self._n_instances = insts
+        self._lay_out()
         self._mutations += 1
         get_telemetry().event("sharded.refresh", clip=clip_id,
                               delta_bags=delta)

@@ -4,8 +4,6 @@ The paper's sliding-window prose says "one step a time" while its TS
 counts imply non-overlapping windows.  Both readings are benchmarked.
 """
 
-import pytest
-
 from benchmarks.conftest import record_experiment
 from repro.eval.experiments import ablation_step
 

@@ -5,8 +5,6 @@ The paper sets the window to the typical event length: a car crash spans
 size and check the paper's choice is at or near the best final accuracy.
 """
 
-import pytest
-
 from benchmarks.conftest import record_experiment
 from repro.eval import ablation_window
 

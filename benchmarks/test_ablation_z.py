@@ -4,8 +4,6 @@ Run with ``training_policy='all'`` so the h/H term of Eq. (9) is active
 and z genuinely moves the One-class SVM's outlier fraction.
 """
 
-import pytest
-
 from benchmarks.conftest import record_experiment
 from repro.eval import ablation_z
 

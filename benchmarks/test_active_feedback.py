@@ -7,8 +7,6 @@ its impact on the final ranking varies by workload (recorded, not
 asserted).
 """
 
-import pytest
-
 from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
 from repro.core.active import ActiveRetrievalSession
 from repro.eval import build_artifacts

@@ -9,7 +9,6 @@ band.
 """
 
 import numpy as np
-import pytest
 
 from repro.sim import tunnel
 from repro.vision import (

@@ -8,8 +8,6 @@ image-plane features against features back-projected onto the road plane
 via DLT-calibrated homographies.
 """
 
-import pytest
-
 from benchmarks.conftest import record_experiment
 from repro.eval.experiments import cross_camera
 

@@ -10,8 +10,6 @@ scores clearly beats chance, while the One-class SVM's decision values
 improve bag-level ranking but slightly blur within-bag attribution.
 """
 
-import pytest
-
 from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
 from repro.eval import build_artifacts
 from repro.eval.diagnostics import evaluate_instance_discovery

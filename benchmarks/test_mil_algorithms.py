@@ -5,8 +5,6 @@ and argues for One-class SVM; this bench runs all of them plus the
 Weighted_RF baseline through the same protocol.
 """
 
-import pytest
-
 from benchmarks.conftest import record_experiment
 from repro.eval import mil_algorithms
 

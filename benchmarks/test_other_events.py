@@ -6,8 +6,6 @@ behavior of a vehicle."  We run the adjusted event models on the highway
 workload and check both queries are learnable.
 """
 
-import pytest
-
 from benchmarks.conftest import record_experiment
 from repro.eval import other_events
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from repro.core import OracleUser
 from repro.db import SemanticQuerySession, VideoDatabase
 from repro.eval import build_artifacts
-from repro.sim import GroundTruth, intersection, tunnel
+from repro.sim import intersection, tunnel
 
 
 def ingest(db: VideoDatabase, sim, start_time: str):

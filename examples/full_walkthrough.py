@@ -15,7 +15,7 @@ from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
 from repro.db import SemanticQuerySession, VideoDatabase
 from repro.eval import build_artifacts
 from repro.eval.diagnostics import evaluate_instance_discovery
-from repro.sim import GroundTruth, city_grid, traffic_statistics
+from repro.sim import city_grid, traffic_statistics
 from repro.tracking import (
     CentroidTracker,
     detect_merge_events,

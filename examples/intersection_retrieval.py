@@ -11,7 +11,7 @@ Run:  python examples/intersection_retrieval.py
 
 from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
 from repro.eval import build_artifacts
-from repro.sim import GroundTruth, intersection
+from repro.sim import intersection
 
 
 def main() -> None:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 
 __all__ = [

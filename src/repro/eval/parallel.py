@@ -28,7 +28,6 @@ back to the serial path with the same results.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 

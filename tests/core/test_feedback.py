@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
 from repro.errors import ConfigurationError
-from tests.core.conftest import make_toy
 
 
 class TestOracleUser:

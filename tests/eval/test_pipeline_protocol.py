@@ -1,6 +1,5 @@
 """Tests for experiment plumbing: artifacts, protocol, reporting."""
 
-import numpy as np
 import pytest
 
 from repro.core import MILRetrievalEngine, WeightedRFEngine

@@ -1,6 +1,5 @@
 """Unit tests for scripted incidents and their ground-truth records."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError

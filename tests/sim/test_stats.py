@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import highway, intersection, tunnel
+from repro.sim import intersection, tunnel
 from repro.sim.stats import traffic_statistics
 
 

@@ -8,7 +8,6 @@ arbitrary datasets, stitching never changes total observations.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,8 +1,5 @@
 """Tests for blob-merge detection."""
 
-import numpy as np
-import pytest
-
 from repro.tracking import Track
 from repro.tracking.occlusion import (
     MergeEvent,

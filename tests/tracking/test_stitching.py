@@ -1,6 +1,5 @@
 """Tests for occlusion/dropout track stitching."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError

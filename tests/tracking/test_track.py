@@ -1,6 +1,5 @@
 """Unit tests for the Track data type."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError

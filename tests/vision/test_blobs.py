@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from repro.errors import PipelineError
-from repro.vision import Blob, clean_mask, extract_blobs
+from repro.vision import clean_mask, extract_blobs
 
 
 def _scipy_clean(mask, open_iterations, close_iterations):

@@ -96,7 +96,7 @@ def _add_policy_args(parser: "argparse.ArgumentParser") -> None:
 def _nominator_kwargs(args) -> dict:
     """Validate and collect the --nominator flag family.
 
-    Mirrors the candidates_per_shard guard in
+    Mirrors the nprobe/index_cells guard in
     :class:`repro.db.query.MultiClipQuerySession`: tuning knobs without
     the path that reads them are rejected, not ignored.
     """

@@ -363,7 +363,8 @@ class CorpusShard:
 
         Bypasses ``spec.index_loader`` — a prebuilt artifact predates
         any append by definition.  The nominator calls this when the
-        un-indexed tail has grown past its rebuild threshold.
+        un-indexed tail has grown past its rebuild threshold, and
+        :meth:`ivf_index` when no prebuilt index matches.
         """
         params = (int(n_cells), int(seed), int(iters))
         sizes = self.bag_sizes.astype(np.intp)

@@ -8,23 +8,24 @@ and touches only the rows inside them, so nomination cost scales with
 ``n_cells + nprobe * rows_per_cell`` instead of the shard's bag count —
 with ``n_cells ~ sqrt(n_rows)`` both terms are O(sqrt(n)).
 
-Indexes are built on *raw* (unstandardized) features: they exist at
-ingest time, before any query session has fit the corpus-wide scaler.
-Nomination is approximate by design — the exact OCSVM rerank downstream
+Indexes are built on *raw* (unstandardized) features: a shard keeps
+its index across appends (see
+:meth:`repro.core.sharded.CorpusShard.ivf_index`) while the corpus
+refits its global scaler after each one, so raw rows are the only
+coordinates an index and its later queries share.  Nomination is approximate by design — the exact OCSVM rerank downstream
 is what guarantees result quality — so the raw/standardized metric
 mismatch costs only recall, never correctness.
 
 Determinism contract: ``kmeans_cells`` draws every random choice from
 ``numpy.random.default_rng(seed)``, so the same ``(matrix, n_cells,
-seed, iters)`` always yields bit-identical centroids and assignments.
-That is what lets the pipeline's Index stage cache the structure
-content-addressed while query sessions rebuild it lazily when no store
-is around: both paths produce the same index.
+seed, iters)`` always yields bit-identical centroids and assignments,
+and a shard that rebuilds its index over the same rows gets the same
+cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.errors import ConfigurationError
 from repro.obs import get_telemetry
 from repro.utils import pairwise_sq_dists
 
-__all__ = ["IVFIndex", "build_index_for_dataset", "kmeans_cells"]
+__all__ = ["IVFIndex", "kmeans_cells"]
 
 
 def kmeans_cells(matrix: np.ndarray, n_cells: int, *, seed: int = 0,
@@ -79,9 +80,7 @@ class IVFIndex:
 
     ``cell_rows[cell_starts[c]:cell_starts[c + 1]]`` are the instance
     rows of cell ``c``; ``row_bags`` maps each instance row to its bag
-    position in the shard's layout order.  ``params`` is the build
-    identity ``(n_cells, seed, iters)`` — callers use it to decide
-    whether a prebuilt index can stand in for a requested configuration.
+    position in the shard's layout order.
     """
 
     centroids: np.ndarray
@@ -89,7 +88,6 @@ class IVFIndex:
     cell_rows: np.ndarray
     row_bags: np.ndarray
     n_bags: int
-    params: tuple[int, int, int] = field(default=(0, 0, 0))
 
     @property
     def n_cells(self) -> int:
@@ -101,22 +99,19 @@ class IVFIndex:
 
     @classmethod
     def build(cls, matrix: np.ndarray | None, row_bags: np.ndarray,
-              n_bags: int, *, n_cells: int = 32, seed: int = 0,
-              iters: int = 15) -> "IVFIndex":
+              n_bags: int, *, n_cells: int = 32) -> "IVFIndex":
         """Index a shard's ``(n_rows, d)`` raw instance matrix.
 
         ``matrix=None`` (a shard of empty bags) builds a zero-cell index
         whose probes nominate nothing.  ``row_bags`` must map every
         matrix row to its bag position.
         """
-        params = (int(n_cells), int(seed), int(iters))
         row_bags = np.asarray(row_bags, dtype=np.intp)
         if matrix is None or len(matrix) == 0:
             return cls(centroids=np.empty((0, 0)),
                        cell_starts=np.zeros(1, dtype=np.intp),
                        cell_rows=np.empty(0, dtype=np.intp),
-                       row_bags=row_bags, n_bags=int(n_bags),
-                       params=params)
+                       row_bags=row_bags, n_bags=int(n_bags))
         if len(row_bags) != len(matrix):
             raise ConfigurationError(
                 f"row_bags has {len(row_bags)} entries for "
@@ -124,8 +119,7 @@ class IVFIndex:
         obs = get_telemetry()
         with obs.span("index.build", rows=len(matrix), cells=n_cells,
                       bags=int(n_bags)):
-            centroids, assignments = kmeans_cells(
-                matrix, n_cells, seed=seed, iters=iters)
+            centroids, assignments = kmeans_cells(matrix, n_cells)
             order = np.argsort(assignments, kind="stable").astype(np.intp)
             counts = np.bincount(assignments, minlength=len(centroids))
             starts = np.concatenate(
@@ -133,7 +127,7 @@ class IVFIndex:
         obs.counter("index.builds").inc()
         return cls(centroids=centroids, cell_starts=starts,
                    cell_rows=order, row_bags=row_bags,
-                   n_bags=int(n_bags), params=params)
+                   n_bags=int(n_bags))
 
     # ------------------------------------------------------------ probe
     def nearest_cells(self, queries: np.ndarray, nprobe: int) -> np.ndarray:
@@ -174,22 +168,3 @@ class IVFIndex:
         return (f"IVFIndex(cells={self.n_cells}, rows={self.n_rows}, "
                 f"bags={self.n_bags})")
 
-
-def build_index_for_dataset(dataset, *, n_cells: int = 32, seed: int = 0,
-                            iters: int = 15) -> IVFIndex:
-    """Build an :class:`IVFIndex` from a :class:`MILDataset`'s instances.
-
-    Rows follow the dataset's bag-contiguous instance order — the same
-    layout :class:`repro.core.sharded.CorpusShard` uses — so the index
-    the pipeline stage persists and the one a shard builds lazily agree
-    row for row.
-    """
-    instances = dataset.all_instances()
-    sizes = np.array([b.n_instances for b in dataset.bags], dtype=np.intp)
-    row_bags = np.repeat(np.arange(len(dataset.bags), dtype=np.intp), sizes)
-    matrix = None
-    if instances:
-        matrix = np.ascontiguousarray(
-            np.stack([inst.vector for inst in instances]), dtype=np.float64)
-    return IVFIndex.build(matrix, row_bags, len(dataset.bags),
-                          n_cells=n_cells, seed=seed, iters=iters)

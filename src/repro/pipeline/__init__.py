@@ -13,7 +13,6 @@ compatibility shim over this package.
 
 from repro.pipeline.artifacts import ClipArtifacts
 from repro.pipeline.config import (
-    IndexConfig,
     OracleConfig,
     PipelineConfig,
     RenderConfig,
@@ -49,7 +48,6 @@ __all__ = [
     "OracleConfig",
     "SeriesConfig",
     "WindowConfig",
-    "IndexConfig",
     "PipelineConfig",
     "Stage",
     "StageContext",

@@ -26,7 +26,6 @@ __all__ = [
     "OracleConfig",
     "SeriesConfig",
     "WindowConfig",
-    "IndexConfig",
     "PipelineConfig",
 ]
 
@@ -117,15 +116,6 @@ class WindowConfig(StageConfig):
 
 
 @dataclass(frozen=True)
-class IndexConfig(StageConfig):
-    """MIL dataset -> per-clip IVF index (``build_index_for_dataset``)."""
-
-    n_cells: int = 32
-    seed: int = 0
-    iters: int = 15
-
-
-@dataclass(frozen=True)
 class PipelineConfig:
     """Full pipeline recipe: mode plus one config per stage.
 
@@ -143,7 +133,6 @@ class PipelineConfig:
     oracle: OracleConfig = field(default_factory=OracleConfig)
     series: SeriesConfig = field(default_factory=SeriesConfig)
     windows: WindowConfig = field(default_factory=WindowConfig)
-    index: IndexConfig = field(default_factory=IndexConfig)
     event_model: EventModel | None = None
 
     def __post_init__(self) -> None:

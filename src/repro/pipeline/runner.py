@@ -177,5 +177,4 @@ class PipelineRunner:
             dataset=outputs["dataset"],
             ground_truth=GroundTruth.from_result(result),
             stage_runs=stage_runs,
-            index=outputs.get("index"),
         )

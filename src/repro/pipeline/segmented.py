@@ -142,8 +142,7 @@ class SegmentedRunner:
         return segment_bounds(n_frames, self.segment_frames)
 
     def _stream_fingerprint(self) -> tuple:
-        stages = [s.fingerprint() for s in build_stages(self.config)
-                  if s.name != "index"]
+        stages = [s.fingerprint() for s in build_stages(self.config)]
         return ("stream", self.segment_frames, tuple(stages))
 
     def segment_keys(self, result: SimulationResult) -> list[str]:
@@ -309,20 +308,14 @@ class SegmentedRunner:
 
     def _finalize(self, result: SimulationResult,
                   final_artifact: SegmentArtifact) -> ClipArtifacts:
-        from repro.index.ivf import build_index_for_dataset
-
         dataset = final_artifact.dataset
         assert dataset is not None and final_artifact.tracks is not None
-        index = build_index_for_dataset(
-            dataset, n_cells=self.config.index.n_cells,
-            seed=self.config.index.seed, iters=self.config.index.iters)
         return ClipArtifacts(
             result=result,
             tracks=final_artifact.tracks,
             dataset=dataset,
             ground_truth=GroundTruth.from_result(result),
             stage_runs={"stream": self.segments_executed},
-            index=index,
         )
 
     # --------------------------------------------------------------- run

@@ -19,7 +19,6 @@ expensive work it feeds — segmentation — caches right behind it.
 from __future__ import annotations
 
 from repro.pipeline.config import (
-    IndexConfig,
     OracleConfig,
     PipelineConfig,
     RenderConfig,
@@ -42,7 +41,6 @@ __all__ = [
     "StitchStage",
     "SeriesStage",
     "WindowsStage",
-    "IndexStage",
     "build_stages",
 ]
 
@@ -208,37 +206,12 @@ class WindowsStage(Stage):
         )
 
 
-class IndexStage(Stage):
-    """MIL dataset -> per-clip IVF index for sublinear nomination.
-
-    Sits after Windows in the chain, so its content address covers every
-    upstream fingerprint: edit any earlier stage config (or the clip
-    itself) and the cached index is invalidated along with the dataset
-    it was built from.
-    """
-
-    name = "index"
-    provides = "index"
-    config: IndexConfig
-
-    def _run(self, ctx: StageContext, value):
-        from repro.index.ivf import build_index_for_dataset
-
-        return build_index_for_dataset(
-            value,
-            n_cells=self.config.n_cells,
-            seed=self.config.seed,
-            iters=self.config.iters,
-        )
-
-
 def build_stages(config: PipelineConfig) -> list[Stage]:
     """The stage chain for one pipeline config, in execution order."""
     windows = WindowsStage(config.windows, config.series, config)
-    index = IndexStage(config.index)
     if config.mode == "oracle":
         return [OracleStage(config.oracle), SeriesStage(config.series),
-                windows, index]
+                windows]
     return [
         RenderStage(config.render),
         SegmentStage(config.segment),
@@ -246,5 +219,4 @@ def build_stages(config: PipelineConfig) -> list[Stage]:
         StitchStage(config.stitch),
         SeriesStage(config.series),
         windows,
-        index,
     ]

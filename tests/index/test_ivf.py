@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.bags import Bag, Instance, MILDataset
+from repro.core.sharded import CorpusShard, ShardSpec
 from repro.errors import ConfigurationError
-from repro.index import IVFIndex, build_index_for_dataset, kmeans_cells
+from repro.index import IVFIndex, kmeans_cells
 
 
 def _blobs(n, d=4, seed=0):
@@ -46,11 +47,10 @@ class TestKMeans:
 
 
 class TestIVFIndex:
-    def _index(self, n=40, n_cells=6, **kwargs):
+    def _index(self, n=40, n_cells=6):
         x = _blobs(n)
         row_bags = np.arange(n) // 2
-        return IVFIndex.build(x, row_bags, n // 2, n_cells=n_cells,
-                              **kwargs), x
+        return IVFIndex.build(x, row_bags, n // 2, n_cells=n_cells), x
 
     def test_cells_partition_rows(self):
         index, x = self._index()
@@ -90,12 +90,10 @@ class TestIVFIndex:
         with pytest.raises(ConfigurationError, match="row_bags"):
             IVFIndex.build(_blobs(10), np.arange(7), 5)
 
-    def test_params_recorded(self):
-        index, _ = self._index(n_cells=6, seed=9, iters=7)
-        assert index.params == (6, 9, 7)
-
 
 class TestBuildForDataset:
+    """The index a shard builds over a dataset's instances."""
+
     def _dataset(self, n_bags=6, instances_per_bag=2, seed=0):
         rng = np.random.default_rng(seed)
         bags, iid = [], 0
@@ -113,21 +111,26 @@ class TestBuildForDataset:
                           feature_names=("f0", "f1"), window_size=3,
                           sampling_rate=5, bags=bags)
 
+    @staticmethod
+    def _shard(ds):
+        spec = ShardSpec(clip_id=ds.clip_id, n_bags=len(ds.bags),
+                         n_instances=ds.n_instances, loader=lambda: ds)
+        return CorpusShard(spec, 0, 0)
+
     def test_rows_follow_bag_layout(self):
-        ds = self._dataset()
-        index = build_index_for_dataset(ds, n_cells=4)
+        index = self._shard(self._dataset()).ivf_index(n_cells=4)
         assert index.n_bags == 6
         np.testing.assert_array_equal(index.row_bags,
                                       np.arange(12) // 2)
 
     def test_deterministic_rebuild(self):
         ds = self._dataset()
-        a = build_index_for_dataset(ds, n_cells=4, seed=2)
-        b = build_index_for_dataset(ds, n_cells=4, seed=2)
+        a = self._shard(ds).ivf_index(n_cells=4)
+        b = self._shard(ds).rebuild_ivf_index(n_cells=4)
         np.testing.assert_array_equal(a.centroids, b.centroids)
         np.testing.assert_array_equal(a.cell_rows, b.cell_rows)
 
     def test_all_empty_bags(self):
         ds = self._dataset(instances_per_bag=0)
-        index = build_index_for_dataset(ds)
+        index = self._shard(ds).ivf_index()
         assert index.n_cells == 0 and index.n_bags == 6

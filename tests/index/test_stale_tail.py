@@ -135,7 +135,7 @@ class TestRoutingAndRebuild:
         bags = make_bags(8)
         corpus, engine = self._warm_engine(bags)
         shard = corpus.shard("clip")
-        index_before = shard.ivf_index(n_cells=4, seed=0, iters=15)
+        index_before = shard.ivf_index(n_cells=4)
         grow(corpus, bags, 2)  # tail 2 < 0.5 * 10: below the threshold
         nominated = nominated_positions(engine)
         assert {8, 9} <= nominated
@@ -143,8 +143,7 @@ class TestRoutingAndRebuild:
             "index.stale_tail_routed").value() == 2
         assert fresh_telemetry.counter("index.rebuilds").value() == 0
         # The memoized index was kept, still covering only the prefix.
-        assert shard.ivf_index(n_cells=4, seed=0,
-                               iters=15) is index_before
+        assert shard.ivf_index(n_cells=4) is index_before
         assert index_before.n_bags == 8
 
     def test_large_tail_triggers_rebuild(self, fresh_telemetry):
@@ -157,8 +156,7 @@ class TestRoutingAndRebuild:
         assert fresh_telemetry.counter("index.rebuilds").value() == 1
         assert fresh_telemetry.counter(
             "index.stale_tail_routed").value() == 0
-        assert shard.ivf_index(n_cells=4, seed=0,
-                               iters=15).n_bags == shard.n_bags
+        assert shard.ivf_index(n_cells=4).n_bags == shard.n_bags
 
     def test_ranking_covers_whole_corpus_after_append(self):
         bags = make_bags(8)

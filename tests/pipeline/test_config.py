@@ -59,8 +59,8 @@ class TestPipelineConfig:
         oracle = [s.name
                   for s in build_stages(PipelineConfig(mode="oracle"))]
         assert vision == ["render", "segment", "track", "stitch",
-                          "series", "windows", "index"]
-        assert oracle == ["oracle", "series", "windows", "index"]
+                          "series", "windows"]
+        assert oracle == ["oracle", "series", "windows"]
 
     def test_from_build_kwargs_roundtrip(self):
         cfg = PipelineConfig.from_build_kwargs(

@@ -68,7 +68,7 @@ class TestSuffixInvalidation:
         swept = PipelineRunner(
             oracle_config(windows=WindowConfig(window_size=5)),
             store=store).run(small_tunnel)
-        assert swept.stage_runs == {"oracle": 0, "series": 0, "windows": 1, "index": 1}
+        assert swept.stage_runs == {"oracle": 0, "series": 0, "windows": 1}
 
     def test_step_change_recomputes_windows_only(self, small_tunnel):
         store = MemoryArtifactStore()
@@ -76,7 +76,7 @@ class TestSuffixInvalidation:
         swept = PipelineRunner(
             oracle_config(windows=WindowConfig(step=1)),
             store=store).run(small_tunnel)
-        assert swept.stage_runs == {"oracle": 0, "series": 0, "windows": 1, "index": 1}
+        assert swept.stage_runs == {"oracle": 0, "series": 0, "windows": 1}
 
     def test_sampling_change_recomputes_series_suffix(self, small_tunnel):
         store = MemoryArtifactStore()
@@ -85,7 +85,7 @@ class TestSuffixInvalidation:
             oracle_config(
                 series=SeriesConfig(SamplingConfig(sampling_rate=8))),
             store=store).run(small_tunnel)
-        assert swept.stage_runs == {"oracle": 0, "series": 1, "windows": 1, "index": 1}
+        assert swept.stage_runs == {"oracle": 0, "series": 1, "windows": 1}
 
     def test_oracle_change_recomputes_everything(self, small_tunnel):
         store = MemoryArtifactStore()
@@ -93,7 +93,7 @@ class TestSuffixInvalidation:
         swept = PipelineRunner(
             oracle_config(oracle=OracleConfig(jitter=0.1)),
             store=store).run(small_tunnel)
-        assert swept.stage_runs == {"oracle": 1, "series": 1, "windows": 1, "index": 1}
+        assert swept.stage_runs == {"oracle": 1, "series": 1, "windows": 1}
 
     def test_event_change_recomputes_windows_only(self, small_tunnel):
         store = MemoryArtifactStore()
@@ -101,7 +101,7 @@ class TestSuffixInvalidation:
         swept = PipelineRunner(
             oracle_config(windows=WindowConfig(event="speeding")),
             store=store).run(small_tunnel)
-        assert swept.stage_runs == {"oracle": 0, "series": 0, "windows": 1, "index": 1}
+        assert swept.stage_runs == {"oracle": 0, "series": 0, "windows": 1}
         assert swept.dataset.event_name == "speeding"
 
     def test_different_clip_misses_entirely(self, small_tunnel,
@@ -126,7 +126,7 @@ class TestVisionInvalidation:
         # actually runs; a windows-only change replays everything else.
         assert swept.stage_runs == {
             "render": 0, "segment": 0, "track": 0, "stitch": 0,
-            "series": 0, "windows": 1, "index": 1}
+            "series": 0, "windows": 1}
 
     def test_segment_change_recomputes_vision_suffix(self, small_tunnel,
                                                      tmp_path):
@@ -137,7 +137,7 @@ class TestVisionInvalidation:
             store=store).run(small_tunnel)
         assert swept.stage_runs == {
             "render": 1, "segment": 1, "track": 1, "stitch": 1,
-            "series": 1, "windows": 1, "index": 1}
+            "series": 1, "windows": 1}
 
 
 class TestClipDigest:

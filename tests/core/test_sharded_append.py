@@ -127,7 +127,6 @@ class TestRefresh:
         after_b = corpus.shard("b")
         assert after_b is not before_b
         assert after_b.bag_offset == 8
-        assert after_b.metadata_version > before_b.metadata_version
         # Global ids stay dense and every bag resolvable.
         assert {corpus.bag_by_id(i).bag_id
                 for i in range(len(corpus))} == set(range(len(corpus)))
@@ -170,19 +169,3 @@ class TestAppendLocalInvalidation:
         gap = make_bags("a", 1, start=9)
         with pytest.raises(ConfigurationError, match="contiguous"):
             shard.append_local(gap)
-
-    def test_reload_drops_all_memos(self, backing):
-        # reload() keeps the spec's counts (count changes go through
-        # refresh) but must rebuild the shard object wholesale, so no
-        # memo built against the old data can survive.
-        corpus = backing.corpus("a")
-        shard = corpus.shard("a")
-        shard.candidate_positions(3)
-        assert shard.heuristic_order_computes == 1
-        mutations = corpus.mutation_count
-        reloaded = corpus.reload("a")
-        assert reloaded is not shard
-        assert reloaded.metadata_version == shard.metadata_version + 1
-        assert reloaded.heuristic_order_computes == 0
-        assert reloaded._candidate_cache == {}
-        assert corpus.mutation_count == mutations + 1

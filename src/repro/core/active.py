@@ -38,12 +38,13 @@ class ActiveRetrievalSession(RetrievalSession):
         self.explore_k = int(explore_k)
 
     def _exploration_candidates(self, exclude: set[int]) -> list[int]:
+        # bag_scores() is indexed by global bag id, over one clip's
+        # dataset and a multi-clip corpus alike.
         scores = self.engine.bag_scores()
-        bags = self.engine.dataset.bags
         unlabeled = [
-            (b.bag_id, scores[i]) for i, b in enumerate(bags)
-            if b.bag_id not in exclude and b.bag_id not in self.engine.labels
-            and np.isfinite(scores[i])
+            (bag_id, scores[bag_id]) for bag_id in range(len(scores))
+            if bag_id not in exclude and bag_id not in self.engine.labels
+            and np.isfinite(scores[bag_id])
         ]
         if not unlabeled:
             return []

@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.core import MILRetrievalEngine, OracleUser, RetrievalSession
+from repro.core import (
+    MILRetrievalEngine,
+    MultiClipOracle,
+    OracleUser,
+    RetrievalSession,
+)
 from repro.core.active import ActiveRetrievalSession
+from repro.core.sharded import (
+    ShardedCorpus,
+    ShardedRetrievalEngine,
+    ShardSpec,
+)
 from repro.errors import ConfigurationError
+from repro.eval import build_artifacts
 from tests.core.conftest import make_toy
 
 
@@ -76,3 +87,29 @@ class TestActiveRetrievalSession:
         active.run(2)  # first round labels everything
         result = active.rounds[-1]
         assert len(result.returned_bag_ids) == len(ds.bags)
+
+    def test_explores_a_multi_clip_corpus(self, small_tunnel,
+                                          small_intersection):
+        """Exploration walks global bag ids, so a corpus over two clips
+        (which has no ``bags`` list of its own) explores both."""
+        clips = [build_artifacts(sim, mode="oracle")
+                 for sim in (small_tunnel, small_intersection)]
+        specs = [ShardSpec(clip_id=a.dataset.clip_id,
+                           n_bags=len(a.dataset.bags),
+                           n_instances=a.dataset.n_instances,
+                           loader=(lambda a=a: a.dataset))
+                 for a in clips]
+        engine = ShardedRetrievalEngine(ShardedCorpus(specs))
+        oracle = MultiClipOracle(
+            {a.result.name: a.ground_truth for a in clips})
+        active = ActiveRetrievalSession(engine, oracle, top_k=10,
+                                        explore_k=3)
+        labelled: set[int] = set()
+        for _ in range(3):
+            shown = active.run_round().returned_bag_ids
+            assert len(shown) == len(set(shown)) == 10
+            # the explore slots hold bags no earlier round labelled
+            assert not set(shown[7:]) & labelled
+            labelled |= set(shown)
+        assert {engine.dataset.bag_by_id(b).clip_id
+                for b in engine.labels} == {a.result.name for a in clips}

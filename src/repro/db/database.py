@@ -22,7 +22,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.core.bags import Bag, Instance, MILDataset
-from repro.db.schema import ClipRecord, LabelRecord, SessionRecord, TrackRecord
+from repro.db.schema import (
+    ClipRecord,
+    LabelRecord,
+    SessionRecord,
+    TrackRecord,
+    session_id_for,
+)
 from repro.db.storage import ArrayStore, InMemoryArrayStore, NpzArrayStore
 from repro.errors import (
     ConfigurationError,
@@ -819,7 +825,7 @@ class VideoDatabase:
             stored_next = (row[0] + 1) if row and row[0] is not None else 0
             if stored_next != expect_round:
                 raise SessionConflictError(
-                    f"{user_id}:{clip_id}:{event_name}",
+                    session_id_for(user_id, clip_id, event_name),
                     expected_round=expect_round,
                     stored_next_round=stored_next)
             self._conn.executemany(

@@ -15,8 +15,8 @@ exactly each round.  :class:`SemanticQuerySession` is that session over
 one clip.  Every session over the same clips of one
 :class:`VideoDatabase` shares one live corpus (:func:`sharded_corpus`),
 which absorbs streamed appends before each round.
-:func:`merged_corpus_id` and :func:`session_id_for` are the one place
-the corpus and session id formats are built.
+:func:`merged_corpus_id` and :func:`session_id_for`, the corpus and
+session id formats, come from :mod:`repro.db.schema`.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.core.sharded import (
 )
 from repro.core.weighted_rf import WeightedRFRule
 from repro.db.database import VideoDatabase
-from repro.db.schema import LabelRecord
+from repro.db.schema import LabelRecord, merged_corpus_id, session_id_for
 from repro.errors import ConfigurationError, SessionConflictError, StorageError
 from repro.obs import TailProfiler, get_telemetry, new_query_id, query_context
 from repro.reliability.retry import RetryPolicy
@@ -51,18 +51,6 @@ ENGINE_FACTORIES = {
     "mil_ocsvm": OneClassRule,
     "weighted_rf": WeightedRFRule,
 }
-
-
-def merged_corpus_id(clip_ids: list[str]) -> str:
-    """The id of the corpus over ``clip_ids`` (in order), and the history
-    key multi-clip sessions store their feedback under."""
-    return "merged:" + "+".join(clip_ids)
-
-
-def session_id_for(user_id: str, corpus_id: str, event_name: str) -> str:
-    """The durable id of one user's feedback history on one history key
-    and event: what the quality ledger and the service key sessions by."""
-    return f"{user_id}:{corpus_id}:{event_name}"
 
 
 #: Guards every catalog's ``corpora`` registry (check, then insert).

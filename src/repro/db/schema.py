@@ -1,4 +1,9 @@
-"""Typed records stored in the video database catalog."""
+"""Typed records stored in the video database catalog, and the id
+formats that key them.
+
+:func:`merged_corpus_id` and :func:`session_id_for` are the one place
+the corpus and session id formats are built.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +14,20 @@ import numpy as np
 
 from repro.errors import StorageError
 
-__all__ = ["ClipRecord", "TrackRecord", "LabelRecord", "SessionRecord"]
+__all__ = ["ClipRecord", "TrackRecord", "LabelRecord", "SessionRecord",
+           "merged_corpus_id", "session_id_for"]
+
+
+def merged_corpus_id(clip_ids: list[str]) -> str:
+    """The id of the corpus over ``clip_ids`` (in order), and the history
+    key multi-clip sessions store their feedback under."""
+    return "merged:" + "+".join(clip_ids)
+
+
+def session_id_for(user_id: str, corpus_id: str, event_name: str) -> str:
+    """The durable id of one user's feedback history on one history key
+    and event: what the quality ledger and the service key sessions by."""
+    return f"{user_id}:{corpus_id}:{event_name}"
 
 
 @dataclass(frozen=True)

@@ -96,33 +96,54 @@ def solve_one_class_smo(
             raise ConfigurationError(
                 f"linear term has shape {linear.shape}, expected ({n},)"
             )
-    alpha = _initial_alpha(n, nu)
-    gradient = q @ alpha
+    start = _initial_alpha(n, nu)
+    gradient = q @ start
     if linear is not None:
         gradient = gradient + linear
+
+    # Few numpy calls per step, and the same floating-point operations
+    # in the same order as the textbook loop (tests/svm/test_smo.py
+    # keeps it as the reference): alpha is a list of Python floats, "can
+    # grow" and "can shrink" are 0/inf penalties added to the gradient
+    # that change only at i and j, and column k of q is row k of its
+    # contiguous transpose.
+    upper = c - _BOUND_EPS
+    inf = np.inf
+    alpha = start.tolist()
+    grow_penalty = np.where(start < upper, 0.0, inf)
+    shrink_penalty = np.where(start > _BOUND_EPS, 0.0, inf)
+    diag = q.diagonal().tolist()
+    columns = list(np.ascontiguousarray(q.T))
+    work = np.empty(n)
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    g, q_ij = gradient.item, q.item
 
     n_iter = 0
     converged = False
     while n_iter < max_iter:
-        can_grow = alpha < c - _BOUND_EPS
-        can_shrink = alpha > _BOUND_EPS
-        if not can_grow.any() or not can_shrink.any():
+        # Maximal violating pair on the gradient.  When a set is empty
+        # every entry is penalized, and its pick fails the test below.
+        i = int(add(gradient, grow_penalty, work).argmin())
+        j = int(subtract(gradient, shrink_penalty, work).argmax())
+        if not (alpha[i] < upper and alpha[j] > _BOUND_EPS):
             converged = True
             break
-        # Maximal violating pair on the gradient.
-        i = int(np.argmin(np.where(can_grow, gradient, np.inf)))
-        j = int(np.argmax(np.where(can_shrink, gradient, -np.inf)))
-        violation = gradient[j] - gradient[i]
+        violation = g(j) - g(i)
         if violation < tol:
             converged = True
             break
-        quad = q[i, i] + q[j, j] - 2.0 * q[i, j]
+        quad = diag[i] + diag[j] - 2.0 * q_ij(i, j)
         quad = max(quad, 1e-12)
         delta = violation / quad
         delta = min(delta, c - alpha[i], alpha[j])
         alpha[i] += delta
         alpha[j] -= delta
-        gradient += delta * (q[:, i] - q[:, j])
+        for k in (i, j):
+            grow_penalty[k] = 0.0 if alpha[k] < upper else inf
+            shrink_penalty[k] = 0.0 if alpha[k] > _BOUND_EPS else inf
+        subtract(columns[i], columns[j], work)
+        multiply(work, delta, work)
+        add(gradient, work, gradient)
         n_iter += 1
 
     if not converged and strict:
@@ -131,6 +152,7 @@ def solve_one_class_smo(
             f"(violation still above tol={tol})"
         )
 
+    alpha = np.array(alpha)
     rho = _recover_rho(alpha, gradient, c)
     return SMOResult(alpha=alpha, rho=rho, n_iter=n_iter,
                      converged=converged)

@@ -1,4 +1,5 @@
-"""Solver tests: feasibility, KKT conditions, scipy-QP cross-check."""
+"""Solver tests: feasibility, KKT conditions, scipy-QP cross-check, and
+bit-for-bit agreement with the reference loop."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
-from repro.errors import ConfigurationError
-from repro.svm import RBFKernel, solve_one_class_smo
+from repro.errors import ConfigurationError, ConvergenceError
+from repro.svm import (LinearKernel, PolynomialKernel, RBFKernel, SMOResult,
+                       solve_one_class_smo)
+from repro.svm.smo import _BOUND_EPS, _initial_alpha, _recover_rho
 
 
 def _gram(n=20, d=2, seed=0, gamma=0.5):
@@ -119,3 +122,84 @@ class TestValidation:
         q = _gram(n=30, seed=5)
         with pytest.raises(ConvergenceError):
             solve_one_class_smo(q, 0.5, tol=1e-14, max_iter=2, strict=True)
+
+
+def _reference_smo(q, nu, *, linear=None, tol=1e-4, max_iter=100_000,
+                   strict=False):
+    """The solver's loop as it was before it made fewer numpy calls per
+    step: a mask, a ``where`` and an argmin/argmax per set, and numpy
+    scalar arithmetic.  The solver must return exactly what this does."""
+    q = np.asarray(q, dtype=float)
+    n = q.shape[0]
+    c = 1.0 / (nu * n)
+    alpha = _initial_alpha(n, nu)
+    gradient = q @ alpha
+    if linear is not None:
+        gradient = gradient + linear
+    n_iter = 0
+    converged = False
+    while n_iter < max_iter:
+        can_grow = alpha < c - _BOUND_EPS
+        can_shrink = alpha > _BOUND_EPS
+        if not can_grow.any() or not can_shrink.any():
+            converged = True
+            break
+        i = int(np.argmin(np.where(can_grow, gradient, np.inf)))
+        j = int(np.argmax(np.where(can_shrink, gradient, -np.inf)))
+        violation = gradient[j] - gradient[i]
+        if violation < tol:
+            converged = True
+            break
+        quad = q[i, i] + q[j, j] - 2.0 * q[i, j]
+        quad = max(quad, 1e-12)
+        delta = violation / quad
+        delta = min(delta, c - alpha[i], alpha[j])
+        alpha[i] += delta
+        alpha[j] -= delta
+        gradient += delta * (q[:, i] - q[:, j])
+        n_iter += 1
+    if not converged and strict:
+        raise ConvergenceError("reference loop did not converge")
+    return SMOResult(alpha=alpha, rho=_recover_rho(alpha, gradient, c),
+                     n_iter=n_iter, converged=converged)
+
+
+@st.composite
+def _problems(draw):
+    """A one-class dual over random rows, some of them duplicates: an
+    RBF, linear or polynomial Gram, as the OCSVM or SVDD poses it."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, draw(st.integers(1, 6))))
+    n_dup = draw(st.integers(0, n - 1))
+    x[rng.integers(0, n, n_dup)] = x[rng.integers(0, n, n_dup)]
+    kernel = draw(st.sampled_from([
+        RBFKernel("scale"), LinearKernel(),
+        PolynomialKernel(degree=2, gamma=0.5)])).prepare(x)
+    gram = kernel.compute(x, x)
+    kwargs = {
+        "tol": draw(st.sampled_from([1e-4, 1e-5, 1e-8])),
+        "max_iter": draw(st.sampled_from([1, 5, 50, 100_000])),
+        "strict": draw(st.booleans()),
+    }
+    nu = draw(st.floats(1e-3, 1.0))
+    if draw(st.booleans()):  # SVDD: Q' = 2K, p = -diag(K)
+        return 2.0 * gram, nu, {**kwargs, "linear": -np.diag(gram).copy()}
+    return gram, nu, kwargs
+
+
+class TestReferenceLoop:
+    @given(problem=_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_the_reference_loop(self, problem):
+        q, nu, kwargs = problem
+        try:
+            want = _reference_smo(q.copy(), nu, **kwargs)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                solve_one_class_smo(q, nu, **kwargs)
+            return
+        got = solve_one_class_smo(q, nu, **kwargs)
+        assert np.array_equal(got.alpha, want.alpha)
+        assert got.rho == want.rho
+        assert (got.n_iter, got.converged) == (want.n_iter, want.converged)

@@ -3,8 +3,8 @@
 * :mod:`repro.core.bags` — Video Sequences as MIL bags, Trajectory
   Sequences as instances (paper Eq. 3-4).
 * :mod:`repro.core.heuristics` — the initial, feedback-free ranking.
-* :mod:`repro.core.rule` — the paper's learning rule (Section 5.3) and
-  the protocol every rule follows.
+* :mod:`repro.core.rule` — the paper's learning rule (Section 5.3), the
+  fitted value it returns, and the protocols every rule and fit follow.
 * :mod:`repro.core.sharded` / :mod:`repro.core.engine` — the MIL
   retrieval engine over a corpus of per-clip shards, and over one clip
   (paper Section 5).

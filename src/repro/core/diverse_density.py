@@ -16,6 +16,7 @@ original two-step scheme.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,11 +24,12 @@ from scipy.optimize import minimize
 
 from repro.core.bags import MILDataset
 from repro.core.engine import MILRetrievalEngine
+from repro.core.rule import read_only
 from repro.errors import ConfigurationError
 from repro.utils import check_positive
 
-__all__ = ["DiverseDensityEngine", "DiverseDensityRule", "dd_instance_prob",
-           "dd_negative_log_likelihood"]
+__all__ = ["DiverseDensityEngine", "DiverseDensityFit", "DiverseDensityRule",
+           "dd_instance_prob", "dd_negative_log_likelihood"]
 
 _PROB_EPS = 1e-10
 
@@ -60,28 +62,41 @@ def dd_negative_log_likelihood(
     return float(nll)
 
 
+@dataclass(frozen=True, eq=False)
+class DiverseDensityFit:
+    """The best hypothesis found, (``target``, ``scales``), and its
+    negative log likelihood ``nll``."""
+
+    target: np.ndarray
+    scales: np.ndarray
+    nll: float
+    nu = None
+
+    def decisions(self, shard, rows: np.ndarray | None = None
+                  ) -> np.ndarray:
+        x = shard.matrix if rows is None else shard.matrix[rows]
+        return dd_instance_prob(x, self.target, self.scales).astype(float)
+
+
+@dataclass(frozen=True, kw_only=True)
 class DiverseDensityRule:
     """Rank by Diverse Density instance probability.
 
     Relevant bags from feedback are the positive bags, irrelevant ones
     the negative bags, all in the corpus-standardized feature space.
-    ``hypothesis_`` (target, scales) and its ``nll_`` stay ``None``
-    until the first fit.
     """
 
     standardized = True
     negatives = True
 
-    def __init__(self, *, max_starts: int = 8, max_iter: int = 200) -> None:
-        check_positive("max_starts", max_starts)
-        check_positive("max_iter", max_iter)
-        self.max_starts = int(max_starts)
-        self.max_iter = int(max_iter)
-        self.reset()
+    max_starts: int = 8
+    max_iter: int = 200
 
-    def reset(self) -> None:
-        self.hypothesis_: tuple[np.ndarray, np.ndarray] | None = None
-        self.nll_: float | None = None
+    def __post_init__(self) -> None:
+        check_positive("max_starts", self.max_starts)
+        check_positive("max_iter", self.max_iter)
+        object.__setattr__(self, "max_starts", int(self.max_starts))
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
     def select(self, ranked: Sequence[int]) -> list[int]:
         """Every TS of the bag, in layout order."""
@@ -109,7 +124,7 @@ class DiverseDensityRule:
         return float(result.fun), result.x
 
     def fit(self, positive: list[np.ndarray], negative: list[np.ndarray],
-            ids: list[int]) -> None:
+            ids: list[int]) -> DiverseDensityFit:
         positive = [b.reshape(len(b), -1) for b in positive if len(b)]
         negative = [b.reshape(len(b), -1) for b in negative if len(b)]
         d = positive[0].shape[1]
@@ -120,14 +135,9 @@ class DiverseDensityRule:
                 best_nll, best_params = nll, params
         if best_params is None:  # pragma: no cover - optimizer always returns
             raise ConfigurationError("diverse density failed to optimize")
-        self.hypothesis_ = (best_params[:d], best_params[d:])
-        self.nll_ = best_nll
-
-    def decisions(self, shard, rows: np.ndarray | None = None
-                  ) -> np.ndarray:
-        target, scales = self.hypothesis_
-        x = shard.matrix if rows is None else shard.matrix[rows]
-        return dd_instance_prob(x, target, scales).astype(float)
+        return DiverseDensityFit(target=read_only(best_params[:d]),
+                                 scales=read_only(best_params[d:]),
+                                 nll=best_nll)
 
 
 class DiverseDensityEngine(MILRetrievalEngine):

@@ -11,6 +11,8 @@ the 9-dimensional TS vectors here.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.optimize import minimize
 
@@ -42,15 +44,18 @@ def _single_instance_nll(params: np.ndarray, positives: np.ndarray,
     return float(nll)
 
 
+@dataclass(frozen=True, kw_only=True)
 class EMDDRule(DiverseDensityRule):
     """Diverse Density trained with the EM-DD alternation."""
 
-    def __init__(self, *, max_starts: int = 8, max_iter: int = 200,
-                 em_iterations: int = 10, em_tol: float = 1e-4) -> None:
-        super().__init__(max_starts=max_starts, max_iter=max_iter)
-        check_positive("em_iterations", em_iterations)
-        self.em_iterations = int(em_iterations)
-        self.em_tol = float(em_tol)
+    em_iterations: int = 10
+    em_tol: float = 1e-4
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        check_positive("em_iterations", self.em_iterations)
+        object.__setattr__(self, "em_iterations", int(self.em_iterations))
+        object.__setattr__(self, "em_tol", float(self.em_tol))
 
     def _optimize(self, start: np.ndarray, positive: list[np.ndarray],
                   negative: list[np.ndarray]) -> tuple[float, np.ndarray]:

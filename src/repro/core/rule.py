@@ -14,8 +14,9 @@ the training set and ``z`` a small slack (0.05 in the paper), clipped to
 and each VS by the maximum over its TSs (the Eq. 3 bag semantics).
 
 The retrieval engine (:class:`~repro.core.sharded.ShardedRetrievalEngine`)
-talks to its learner only through a :class:`Rule`.  The baselines the
-paper compares against are rules too:
+talks to its learner only through a :class:`Rule`, which holds only
+its parameters, and the :class:`Fit` value that ``Rule.fit`` returns.
+The baselines the paper compares against are rules too:
 :class:`~repro.core.weighted_rf.WeightedRFRule`,
 :class:`~repro.core.diverse_density.DiverseDensityRule` and
 :class:`~repro.core.emdd.EMDDRule`.
@@ -23,6 +24,7 @@ paper compares against are rules too:
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -34,7 +36,20 @@ from repro.svm.one_class import OneClassSVM
 from repro.svm.svdd import SVDD
 from repro.utils import check_in_range, row_sq_norms
 
-__all__ = ["Rule", "OneClassRule", "parse_policy"]
+__all__ = ["Rule", "Fit", "OneClassRule", "OneClassFit", "parse_policy"]
+
+
+class Fit(Protocol):
+    """A fitted rule: an immutable value the engine holds and scores
+    through.  Engines over one corpus epoch may share one."""
+
+    #: The Eq. 9 nu it was fitted with, or ``None`` for a rule without.
+    nu: float | None
+
+    def decisions(self, shard, rows: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """Decision values (higher = more relevant) of the shard's
+        instances, or of its ``rows`` only, in layout order."""
 
 
 class Rule(Protocol):
@@ -42,8 +57,12 @@ class Rule(Protocol):
 
     The engine hands a rule the TS matrices of the labelled bags, raw or
     standardized over the whole corpus as :attr:`standardized` says, and
-    asks it for decision values (higher = more relevant) of one shard's
+    gets back a :class:`Fit` that gives decision values of one shard's
     instances.  It turns those into bag scores and the ranking itself.
+
+    A rule holds only its parameters, and compares and hashes by its
+    class and them: the corpus memoizes fits under a key that holds the
+    rule (:meth:`~repro.core.sharded.ShardedCorpus.memoized_fit`).
     """
 
     #: Read ``shard.matrix`` (corpus-standardized), not ``matrix_raw``.
@@ -56,19 +75,16 @@ class Rule(Protocol):
         instance ids in descending heuristic order."""
 
     def fit(self, positive: list[np.ndarray], negative: list[np.ndarray],
-            ids: list[int]) -> float | None:
+            ids: list[int]) -> Fit:
         """Fit on one (instances, window, features) block per relevant
         bag, and per irrelevant bag if :attr:`negatives`; ``ids`` are
-        the relevant rows' instance ids (at least one).  Returns the
-        Eq. 9 nu, or ``None`` for a rule without one."""
+        the relevant rows' instance ids (at least one)."""
 
-    def reset(self) -> None:
-        """Forget the fitted model."""
 
-    def decisions(self, shard, rows: np.ndarray | None = None
-                  ) -> np.ndarray:
-        """Decision values of the shard's instances, or of its ``rows``
-        only, in layout order."""
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: engines share a :class:`Fit`'s arrays."""
+    array.setflags(write=False)
+    return array
 
 
 def parse_policy(policy: str) -> int | None:
@@ -88,81 +104,26 @@ def parse_policy(policy: str) -> int | None:
     )
 
 
-class OneClassRule:
-    """Training policy, Eq. 9 nu, and the fitted one-class learner.
-
-    ``learner`` is ``"ocsvm"`` (Schoelkopf's hyperplane machine, the
-    paper's cited learner) or ``"svdd"`` (Tax & Duin's hypersphere, the
-    "ball" of the paper's Figure 5); ``kernel`` / ``gamma`` are passed to
-    it.
+@dataclass(frozen=True, eq=False)
+class OneClassFit:
+    """A fitted one-class learner: the model, its support vectors' ids,
+    rows and squared norms, and the Eq. 9 ``nu`` it was fitted with.
 
     A whole shard is scored through the shard's
     :class:`~repro.svm.gram_cache.GramCache`, so warm rounds reuse kernel
     columns; a candidate block is one small kernel block.
     """
 
-    standardized = True
-    negatives = False
-
-    def __init__(self, *, z: float = 0.05, kernel: str | Kernel = "rbf",
-                 gamma: float | str = "auto", training_policy: str = "top1",
-                 nu_bounds: tuple[float, float] = (0.05, 0.95),
-                 learner: str = "ocsvm") -> None:
-        check_in_range("z", z, 0.0, 0.5)
-        self.top_m = parse_policy(training_policy)
-        lo, hi = nu_bounds
-        check_in_range("nu lower bound", lo, 0.0, 1.0,
-                       inclusive=(False, True))
-        check_in_range("nu upper bound", hi, lo, 1.0)
-        if learner not in ("ocsvm", "svdd"):
-            raise ConfigurationError(
-                f"learner must be 'ocsvm' or 'svdd', got {learner!r}")
-        self.z = float(z)
-        self.kernel = kernel
-        self.gamma = gamma
-        self.nu_bounds = (float(lo), float(hi))
-        self.learner = learner
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget the fitted model (no training instances this round)."""
-        self.model: OneClassSVM | SVDD | None = None
-        self.support_ids: list[int] = []
-        self.support_x: np.ndarray | None = None
-        self.support_sq: np.ndarray | None = None
-
-    def select(self, ranked: Sequence[int]) -> Sequence[int]:
-        """A relevant bag's training instances, given its instance ids
-        in descending heuristic order."""
-        return ranked if self.top_m is None else ranked[:self.top_m]
-
-    def nu(self, n_bags: int, n_training: int) -> float:
-        """Eq. 9 over ``n_bags`` relevant bags and ``n_training`` TSs."""
-        nu = 1.0 - (n_bags / n_training + self.z)
-        return float(np.clip(nu, *self.nu_bounds))
-
-    def fit(self, positive: list[np.ndarray], negative: list[np.ndarray],
-            ids: list[int]) -> float:
-        """Fit the learner on the relevant bags' selected TSs; returns
-        the nu it used."""
-        x = np.concatenate(positive).reshape(len(ids), -1)
-        nu = self.nu(len(positive), len(ids))
-        if self.learner == "svdd":
-            model = SVDD(nu=nu, kernel=self.kernel, gamma=self.gamma).fit(x)
-        else:
-            model = OneClassSVM(nu=nu, kernel=self.kernel,
-                                gamma=self.gamma).fit(x)
-        self.model = model
-        self.support_ids = [ids[s] for s in model.support_]
-        self.support_x = np.ascontiguousarray(model.support_vectors_)
-        self.support_sq = row_sq_norms(self.support_x)
-        return nu
+    model: OneClassSVM | SVDD
+    support_ids: tuple[int, ...]
+    support_x: np.ndarray
+    support_sq: np.ndarray
+    nu: float
 
     def decisions(self, shard, rows: np.ndarray | None = None
                   ) -> np.ndarray:
         """Decision values of the shard's instances: all of them through
         its Gram cache, or ``rows`` as one kernel block."""
-        assert self.model is not None, "scored before any relevant feedback"
         kernel = self.model.kernel_
         if rows is None:
             cache = shard.gram_cache
@@ -177,7 +138,7 @@ class OneClassRule:
                                                b_sq=self.support_sq)
             else:
                 cross = kernel.compute_blocked(sub, self.support_x)
-        if self.learner == "svdd":
+        if isinstance(self.model, SVDD):
             # Only the ball needs the rows' self-similarities K(x, x).
             self_sim = cache.diag(kernel) if rows is None else kernel.diag(sub)
             values = self.model.decision_function(cross=cross,
@@ -185,3 +146,72 @@ class OneClassRule:
         else:
             values = self.model.decision_function(cross=cross)
         return values.astype(float)
+
+
+@dataclass(frozen=True, kw_only=True)
+class OneClassRule:
+    """Training policy, Eq. 9 nu, and the one-class learner to fit.
+
+    ``learner`` is ``"ocsvm"`` (Schoelkopf's hyperplane machine, the
+    paper's cited learner) or ``"svdd"`` (Tax & Duin's hypersphere, the
+    "ball" of the paper's Figure 5); ``kernel`` / ``gamma`` are passed to
+    it.  A :class:`~repro.svm.kernels.Kernel` instance compares by its
+    ``params_key()``.
+    """
+
+    standardized = True
+    negatives = False
+
+    z: float = 0.05
+    kernel: str | Kernel = field(default="rbf", compare=False)
+    gamma: float | str = "auto"
+    training_policy: str = "top1"
+    nu_bounds: tuple[float, float] = (0.05, 0.95)
+    learner: str = "ocsvm"
+    kernel_key: str | tuple = field(init=False, repr=False)
+    top_m: int | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_in_range("z", self.z, 0.0, 0.5)
+        lo, hi = self.nu_bounds
+        check_in_range("nu lower bound", lo, 0.0, 1.0,
+                       inclusive=(False, True))
+        check_in_range("nu upper bound", hi, lo, 1.0)
+        if self.learner not in ("ocsvm", "svdd"):
+            raise ConfigurationError(
+                f"learner must be 'ocsvm' or 'svdd', got {self.learner!r}")
+        kernel_key = (self.kernel.params_key()
+                      if isinstance(self.kernel, Kernel) else self.kernel)
+        object.__setattr__(self, "z", float(self.z))
+        object.__setattr__(self, "nu_bounds", (float(lo), float(hi)))
+        object.__setattr__(self, "kernel_key", kernel_key)
+        object.__setattr__(self, "top_m",
+                           parse_policy(self.training_policy))
+
+    def select(self, ranked: Sequence[int]) -> Sequence[int]:
+        """A relevant bag's training instances, given its instance ids
+        in descending heuristic order."""
+        return ranked if self.top_m is None else ranked[:self.top_m]
+
+    def nu(self, n_bags: int, n_training: int) -> float:
+        """Eq. 9 over ``n_bags`` relevant bags and ``n_training`` TSs."""
+        nu = 1.0 - (n_bags / n_training + self.z)
+        return float(np.clip(nu, *self.nu_bounds))
+
+    def fit(self, positive: list[np.ndarray], negative: list[np.ndarray],
+            ids: list[int]) -> OneClassFit:
+        """Fit the learner on the relevant bags' selected TSs, with the
+        Eq. 9 nu over every relevant bag, empty ones included."""
+        x = np.concatenate(positive).reshape(len(ids), -1)
+        nu = self.nu(len(positive), len(ids))
+        if self.learner == "svdd":
+            model = SVDD(nu=nu, kernel=self.kernel, gamma=self.gamma).fit(x)
+        else:
+            model = OneClassSVM(nu=nu, kernel=self.kernel,
+                                gamma=self.gamma).fit(x)
+        support_x = read_only(np.ascontiguousarray(model.support_vectors_))
+        read_only(model.dual_coef_)
+        return OneClassFit(
+            model=model, support_ids=tuple(ids[s] for s in model.support_),
+            support_x=support_x, support_sq=read_only(row_sq_norms(support_x)),
+            nu=nu)

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.core.bags import Bag, Instance, MILDataset
 from repro.core.heuristics import heuristic_scores
-from repro.core.rule import OneClassRule, Rule
+from repro.core.rule import Fit, OneClassRule, Rule
 from repro.errors import (
     ConfigurationError,
     ShardUnavailableError,
@@ -67,6 +67,10 @@ from repro.utils import check_in_range
 __all__ = ["ShardSpec", "CorpusShard", "ShardedCorpus",
            "ShardedRetrievalEngine", "HeuristicNominator", "IVFNominator",
            "ShardOutage", "CoverageReport", "InstanceExplanation"]
+
+#: Fits a corpus keeps per epoch (:meth:`ShardedCorpus.memoized_fit`);
+#: past it, the oldest goes first.
+FIT_MEMO_ENTRIES = 256
 
 
 @dataclass(frozen=True)
@@ -448,10 +452,13 @@ class ShardedCorpus:
     scoring was built with the current epoch's scaler.  A shared Gram
     cache computes each kernel column in the block of whichever engine
     first needed it, so scores can differ in the last bits from a
-    private corpus', and near-ties can swap.
+    private corpus', and near-ties can swap.  The epoch's rule fits are
+    shared too (:meth:`memoized_fit`): engines that fit the same inputs
+    hold one fitted value.
 
     **Threading contract.**  Concurrent rounds on one corpus are safe:
-    loads and the scaler fit run under :attr:`lock`, each shard's
+    loads, the scaler fit and fit-memo reads and writes run under
+    :attr:`lock` (the fits themselves outside it), each shard's
     rebuild and Gram-cache fill/read pairs under the shard's lock.  A
     mutation (:meth:`refresh`) during rounds on the same corpus is not:
     a round can score a shard already rebuilt for the next epoch.
@@ -490,6 +497,8 @@ class ShardedCorpus:
         self._availability = 0
         self._scaler: StandardScaler | None = None
         self._scaler_epoch: int | None = None
+        self._fits: dict = {}
+        self._fits_epoch: int | None = None
         #: Catalog version this corpus last absorbed (opaque here).
         self.source_version: int | None = None
         #: Serializes structural mutation (lazy loads, refresh,
@@ -555,6 +564,43 @@ class ShardedCorpus:
                 shard.gram_cache = None
                 shard.epoch = epoch
         return scaler
+
+    def _epoch_fits(self) -> dict:
+        """The current epoch's fit memo (call under :attr:`lock`)."""
+        if self._fits_epoch != self._mutations:
+            self._fits = {}
+            self._fits_epoch = self._mutations
+        return self._fits
+
+    def memoized_fit(self, key, epoch: int, fit: Callable[[], Fit]
+                     ) -> tuple[Fit, bool]:
+        """The fit for ``key`` in corpus epoch ``epoch``, and whether the
+        memo served it.
+
+        ``key`` must hold everything ``fit()`` reads besides the epoch's
+        rows, so engines that fit the same inputs share one immutable
+        value.  A miss runs ``fit()`` outside :attr:`lock`; when threads
+        race on one key, those that lose adopt the first stored fit.  The
+        memo keeps :data:`FIT_MEMO_ENTRIES` fits and goes when the epoch
+        moves; a fit of an epoch already gone is returned but not kept.
+        """
+        with self.lock:
+            current = epoch == self._mutations
+            found = self._epoch_fits().get(key) if current else None
+        if found is not None:
+            get_telemetry().counter("sharded.fit_memo_hits").inc()
+            return found, True
+        fitted = fit()
+        if not current:
+            return fitted, False
+        with self.lock:
+            if epoch != self._mutations:
+                return fitted, False
+            fits = self._epoch_fits()
+            winner = fits.setdefault(key, fitted)
+            if len(fits) > FIT_MEMO_ENTRIES:
+                del fits[next(iter(fits))]
+        return winner, False
 
     def __len__(self) -> int:
         return self._n_bags
@@ -904,8 +950,10 @@ def _resolve_nominator(nominator):
 class ShardedRetrievalEngine:
     """Two-stage MIL retrieval over a :class:`ShardedCorpus`.
 
-    Relevance feedback trains a learning rule (:class:`~repro.core.rule.Rule`),
-    built by ``rule`` from ``rule_kwargs``.  The default is the paper's
+    Relevance feedback fits a learning rule (:class:`~repro.core.rule.Rule`),
+    built by ``rule`` from ``rule_kwargs``, and the engine scores through
+    the fit it holds (:attr:`fitted`; see
+    :meth:`ShardedCorpus.memoized_fit`).  The default is the paper's
     :class:`~repro.core.rule.OneClassRule` (one-class SVM on the top
     heuristic Trajectory Sequences of the relevant bags, nu from Eq. 9;
     ``z``, ``kernel``, ``gamma``, ``training_policy``, ``nu_bounds``
@@ -975,11 +1023,14 @@ class ShardedRetrievalEngine:
         #: The quality ledger (:mod:`repro.db.query`) persists this.
         self.last_round_stats: dict | None = None
         self.labels: dict[int, bool] = {}
-        #: Whether the rule is fitted; until then bags score by the
-        #: heuristic.
-        self.is_trained = False
-        self.last_nu_: float | None = None
-        self.training_size_: int = 0
+        #: The rule's fit this engine scores through (``None`` until
+        #: relevant feedback gives it training rows): an immutable value
+        #: that other engines over the corpus epoch may hold too.
+        self.fitted: Fit | None = None
+        #: Fits this engine took, and how many of them the corpus' fit
+        #: memo served without a solve (the quality ledger reads both).
+        self.fit_count = 0
+        self.fit_memo_hits = 0
         # Per-round ranking state, rebuilt lazily after each feed():
         # clip_id -> sorted [(-score, bag_id), ...] merge streams.
         self._candidate_streams: dict[str, list[tuple[float, int]]] | None = \
@@ -1074,6 +1125,23 @@ class ShardedRetrievalEngine:
     def has_relevant_feedback(self) -> bool:
         return any(self.labels.values())
 
+    @property
+    def is_trained(self) -> bool:
+        """Whether the engine holds a fit; until then bags score by the
+        heuristic."""
+        return self.fitted is not None
+
+    @property
+    def last_nu_(self) -> float | None:
+        """The held fit's Eq. 9 nu (``None`` while untrained, or for a
+        rule without one)."""
+        return None if self.fitted is None else self.fitted.nu
+
+    @property
+    def training_size_(self) -> int:
+        """How many TSs the held fit trained on (0 while untrained)."""
+        return 0 if self.fitted is None else len(self._training_ids)
+
     # -- training ---------------------------------------------------------
     def _ensure_standardized(self) -> StandardScaler:
         """The corpus' global scaler for the current epoch, with every
@@ -1147,7 +1215,7 @@ class ShardedRetrievalEngine:
         return self._round_queries
 
     def _retrain(self) -> None:
-        self.is_trained = False
+        self.fitted = None
         self._round_queries = None
         relevant = self.relevant_bag_ids
         # Relevant bags on a dead shard (degraded mode) give the rule no
@@ -1159,19 +1227,26 @@ class ShardedRetrievalEngine:
             get_telemetry().event(
                 "sharded.training_bags_skipped", level="warning",
                 skipped=skipped, relevant=len(relevant))
-        self._training_ids = [i for _, ids in picks for i in ids]
-        if not self._training_ids:
-            self.rule.reset()
+        self._training_ids = training_ids = [
+            i for _, ids in picks for i in ids]
+        if not training_ids:
             return
         self._ensure_standardized()
+        epoch = self.corpus.mutation_count
         negative = []
         if self.rule.negatives:
-            negative = self._training_blocks(
-                self._training_picks(self.irrelevant_bag_ids)[0])
-        self.last_nu_ = self.rule.fit(self._training_blocks(picks),
-                                      negative, self._training_ids)
-        self.training_size_ = len(self._training_ids)
-        self.is_trained = True
+            negative = self._training_picks(self.irrelevant_bag_ids)[0]
+        # Everything the fit reads in this epoch.  The ids stay grouped
+        # per bag: an empty relevant bag adds no row but counts in
+        # Eq. 9's h.
+        key = (self.rule, tuple(tuple(ids) for _, ids in picks),
+               tuple(tuple(ids) for _, ids in negative))
+        self.fitted, hit = self.corpus.memoized_fit(
+            key, epoch, lambda: self.rule.fit(
+                self._training_blocks(picks),
+                self._training_blocks(negative), training_ids))
+        self.fit_count += 1
+        self.fit_memo_hits += hit
 
     # -- per-shard scoring -------------------------------------------------
     def _full_shard_scores(self, shard: CorpusShard) -> np.ndarray:
@@ -1179,7 +1254,7 @@ class ShardedRetrievalEngine:
         scores = np.full(shard.n_bags, -np.inf)
         if shard.matrix is None:
             return scores
-        decisions = self.rule.decisions(shard)
+        decisions = self.fitted.decisions(shard)
         non_empty = shard.bag_sizes > 0
         if non_empty.any():
             scores[non_empty] = np.maximum.reduceat(
@@ -1202,7 +1277,7 @@ class ShardedRetrievalEngine:
         # gather them all with a single arange + per-segment offset.
         rows = np.arange(int(counts.sum())) + np.repeat(
             shard.bag_starts[positions][keep] - seg_starts, counts)
-        decisions = self.rule.decisions(shard, rows)
+        decisions = self.fitted.decisions(shard, rows)
         scores[keep] = np.maximum.reduceat(decisions, seg_starts)
         return scores
 
@@ -1383,7 +1458,7 @@ class ShardedRetrievalEngine:
         if not self.is_trained or shard.matrix is None:
             return shard.heuristic_instances
         with shard.lock:
-            return self.rule.decisions(shard)
+            return self.fitted.decisions(shard)
 
     def bag_scores(self) -> np.ndarray:
         """Scores indexed by global bag id (higher = more relevant).

@@ -12,6 +12,7 @@ implemented.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,9 +20,11 @@ import numpy as np
 from repro.core.bags import MILDataset
 from repro.core.engine import MILRetrievalEngine
 from repro.core.heuristics import instance_point_scores
+from repro.core.rule import read_only
 from repro.errors import ConfigurationError
 
-__all__ = ["WeightedRFEngine", "WeightedRFRule", "normalize_weights"]
+__all__ = ["WeightedRFEngine", "WeightedRFFit", "WeightedRFRule",
+           "normalize_weights"]
 
 _NORMALIZATIONS = ("percentage", "linear", "none")
 _STD_FLOOR = 1e-6
@@ -53,45 +56,51 @@ def normalize_weights(weights: np.ndarray, method: str) -> np.ndarray:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class WeightedRFFit:
+    """The fitted re-weighting: one weight per feature."""
+
+    weights: np.ndarray
+    nu = None
+
+    def decisions(self, shard, rows: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """Each TS's best weighted square sum over its sampling points."""
+        matrices = shard.ts_matrices(rows, standardized=False)
+        return instance_point_scores(matrices, self.weights).max(axis=1)
+
+
+@dataclass(frozen=True, kw_only=True)
 class WeightedRFRule:
     """Query re-weighting RF: w_f = 1/std_f over relevant feature rows.
 
-    ``weights_`` stays ``None`` until the first fit; "the initial weights
-    of the three features are all 1s", which is the heuristic ranking
-    the engine keeps until then.
+    Until the first fit the engine keeps the heuristic ranking: "the
+    initial weights of the three features are all 1s".
     """
 
     standardized = False
     negatives = False
 
-    def __init__(self, *, normalization: str = "percentage") -> None:
-        if normalization not in _NORMALIZATIONS:
-            raise ConfigurationError(
-                f"unknown normalization {normalization!r}; expected one of "
-                f"{_NORMALIZATIONS}"
-            )
-        self.normalization = normalization
-        self.reset()
+    normalization: str = "percentage"
 
-    def reset(self) -> None:
-        self.weights_: np.ndarray | None = None
+    def __post_init__(self) -> None:
+        if self.normalization not in _NORMALIZATIONS:
+            raise ConfigurationError(
+                f"unknown normalization {self.normalization!r}; expected "
+                f"one of {_NORMALIZATIONS}"
+            )
 
     def select(self, ranked: Sequence[int]) -> list[int]:
         """Every TS of the bag, in layout order."""
         return sorted(ranked)
 
     def fit(self, positive: list[np.ndarray], negative: list[np.ndarray],
-            ids: list[int]) -> None:
+            ids: list[int]) -> WeightedRFFit:
         # Every sampling point of the relevant TSs.
         points = np.concatenate(positive).reshape(-1, positive[0].shape[2])
         raw = 1.0 / np.maximum(points.std(axis=0), _STD_FLOOR)
-        self.weights_ = normalize_weights(raw, self.normalization)
-
-    def decisions(self, shard, rows: np.ndarray | None = None
-                  ) -> np.ndarray:
-        """Each TS's best weighted square sum over its sampling points."""
-        matrices = shard.ts_matrices(rows, standardized=False)
-        return instance_point_scores(matrices, self.weights_).max(axis=1)
+        return WeightedRFFit(read_only(
+            normalize_weights(raw, self.normalization)))
 
 
 class WeightedRFEngine(MILRetrievalEngine):

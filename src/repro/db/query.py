@@ -236,6 +236,8 @@ class _QuerySessionBase:
         round_index = self.round_index
         hits0 = obs.counter("svm.gram.columns_reused").total()
         miss0 = obs.counter("svm.gram.columns_computed").total()
+        engine0 = self.engine
+        fits0 = (engine0.fit_count, engine0.fit_memo_hits)
         span_mark = len(obs.spans) + obs.spans_dropped
         prof = None
         with query_context(self.query_id, session_id=self.session_id,
@@ -264,8 +266,11 @@ class _QuerySessionBase:
             s.to_event() for s in obs.spans[start:]
             if s.attrs.get("query_id") == self.query_id
         ]
+        # A resync at the round's start replaces the engine; every fit
+        # of the new one is this round's.
         detail = self._round_detail(
-            obs, op, latency_ms, round_spans, hits0, miss0)
+            obs, op, latency_ms, round_spans, hits0, miss0,
+            fits0 if self.engine is engine0 else (0, 0))
         profile_text = ""
         if prof is not None and prof.kept:
             profile_text = prof.collapsed()
@@ -284,9 +289,15 @@ class _QuerySessionBase:
                       reason=f"{type(exc).__name__}: {exc}")
 
     def _round_detail(self, obs, op: str, latency_ms: float,
-                      round_spans: list[dict],
-                      hits0: float, miss0: float) -> dict:
-        """The per-round quality record the ledger persists."""
+                      round_spans: list[dict], hits0: float, miss0: float,
+                      fits0: tuple[int, int]) -> dict:
+        """The per-round quality record the ledger persists.
+
+        Its ``fits`` entry counts the round's fits from the engine's own
+        counts, since a process-wide counter would mix in concurrent
+        sessions' fits: a fit the corpus memo served ran no solve, so
+        the round has no ``svm.fit`` span for it.
+        """
         stages: dict[str, dict] = {}
         for event in round_spans:
             if event["name"] == "query.round":
@@ -308,6 +319,12 @@ class _QuerySessionBase:
                 "hit_rate": (hits / looked_up) if looked_up else None,
             },
         }
+        fits = self.engine.fit_count - fits0[0]
+        if fits:
+            detail["fits"] = {
+                "count": fits,
+                "memo_hits": self.engine.fit_memo_hits - fits0[1],
+            }
         stats = self.engine.last_round_stats
         if stats is not None:
             detail["engine"] = stats

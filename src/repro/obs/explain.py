@@ -151,6 +151,10 @@ def render_round(row: dict, *, extra_spans=()) -> str:
     if cache.get("hit_rate") is not None:
         quality.append(f"gram cache hit-rate "
                        f"{_percent(cache['hit_rate'])}")
+    fits = detail.get("fits")
+    if fits:
+        quality.append(f"fits {fits['count']} "
+                       f"({fits['memo_hits']} from the fit memo)")
     if quality:
         lines.append("  " + " | ".join(quality))
     coverage = detail.get("coverage")

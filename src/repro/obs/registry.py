@@ -97,6 +97,9 @@ DEFAULT_METRICS: tuple[tuple[str, str, str], ...] = (
     ("counter", "sharded.corpus_syncs",
      "engine rounds dropped (and models retrained) after a live corpus "
      "mutation"),
+    ("counter", "sharded.fit_memo_hits",
+     "engine fits served by the corpus' per-epoch fit memo, without a "
+     "solve"),
     ("counter", "reliability.task.retries",
      "task attempts re-submitted after a transient failure, by reason"),
     ("counter", "reliability.task.timeouts",

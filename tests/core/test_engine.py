@@ -110,6 +110,18 @@ class TestFeedback:
         engine.feed({b: True for b in rel})
         assert engine.last_nu_ == 0.05  # 1 - (1 + z) clipped up to the min
 
+    def test_relabelled_irrelevant_forgets_nu_and_training_size(self, toy):
+        """Regression: nu and H outlived the fit they described."""
+        ds, gt = toy
+        engine = MILRetrievalEngine(ds)
+        rel = [b.bag_id for b in ds.bags
+               if gt.label_window(b.frame_lo, b.frame_hi)][:3]
+        engine.feed({b: True for b in rel})
+        assert (engine.last_nu_, engine.training_size_) == (0.05, 3)
+        engine.feed({b: False for b in rel})
+        assert not engine.is_trained
+        assert (engine.last_nu_, engine.training_size_) == (None, 0)
+
     def test_top1_training_size(self, toy_multi):
         ds, gt = toy_multi
         engine = MILRetrievalEngine(ds, training_policy="top1")

@@ -89,11 +89,11 @@ def test_cache_reuses_columns_across_rounds():
     cache = engine.shard.gram_cache
     misses_after_cold = cache.misses
     assert cache.hits == 0
-    support_before = set(engine.rule.support_ids)
+    support_before = set(engine.fitted.support_ids)
     engine.feed(batches[1])
     engine.rank()
     # Warm round: only support vectors not seen before cost columns.
-    support_after = engine.rule.support_ids
+    support_after = engine.fitted.support_ids
     reused = len(support_before & set(support_after))
     assert cache.hits == reused > 0
     assert cache.misses == misses_after_cold + len(support_after) - reused

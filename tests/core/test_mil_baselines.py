@@ -69,11 +69,10 @@ class TestEngines:
         for bag in ds.bags[:12]:
             labels[bag.bag_id] = gt.label_window(bag.frame_lo, bag.frame_hi)
         engine.feed(labels)
-        assert engine.rule.hypothesis_ is not None
-        target, scales = engine.rule.hypothesis_
-        assert target.shape == (9,)
-        assert scales.shape == (9,)
-        assert np.isfinite(engine.rule.nll_)
+        assert engine.fitted is not None
+        assert engine.fitted.target.shape == (9,)
+        assert engine.fitted.scales.shape == (9,)
+        assert np.isfinite(engine.fitted.nll)
 
     @pytest.mark.parametrize("engine_cls", [DiverseDensityEngine, EMDDEngine])
     def test_heuristic_until_relevant_feedback(self, engine_cls, toy):

@@ -256,6 +256,21 @@ class TestDegradedRounds:
         engine.rank()
         assert engine.last_coverage.training_bags_skipped == 1
 
+    def test_every_relevant_shard_dead_forgets_nu_and_training_size(
+            self, clips):
+        """Regression: nu and H outlived the fit they described."""
+        corpus, loaders, _ = _flaky_corpus(clips)
+        engine = self._fed(corpus, failure_policy="degraded")
+        b_bags = sorted(_bag_range(corpus, "b"))
+        engine.feed({b_bags[0]: True, b_bags[1]: True})
+        assert (engine.last_nu_, engine.training_size_) == (0.05, 2)
+        loaders["b"].fail = True
+        with pytest.raises(ShardUnavailableError):
+            corpus.refresh("b", n_bags=9, n_instances=999)
+        engine.feed({0: False})  # retrain with every relevant bag dead
+        assert not engine.is_trained
+        assert (engine.last_nu_, engine.training_size_) == (None, 0)
+
     def test_degraded_all_shards_dead_raises(self, clips):
         corpus, loaders, _ = _flaky_corpus(clips)
         for loader in loaders.values():

@@ -9,7 +9,7 @@ from repro.core import (
     WeightedRFEngine,
     heuristic_scores,
 )
-from repro.core.weighted_rf import normalize_weights
+from repro.core.weighted_rf import WeightedRFFit, normalize_weights
 from repro.errors import ConfigurationError
 from tests.core.conftest import make_toy
 
@@ -48,10 +48,10 @@ class TestWeightedRFEngine:
         rule under all-ones weights, bit for bit."""
         ds, _ = toy
         engine = WeightedRFEngine(ds)
-        assert engine.rule.weights_ is None
+        assert engine.fitted is None
         assert np.array_equal(engine.bag_scores(), heuristic_scores(ds)[0])
-        engine.rule.weights_ = np.ones(3)
-        assert np.array_equal(engine.rule.decisions(engine.shard),
+        ones = WeightedRFFit(np.ones(3))
+        assert np.array_equal(ones.decisions(engine.shard),
                               engine.shard.heuristic_instances)
 
     def test_initial_ranking_equals_mil_initial(self, toy):
@@ -67,8 +67,8 @@ class TestWeightedRFEngine:
         rel = [b.bag_id for b in ds.bags
                if gt.label_window(b.frame_lo, b.frame_hi)][:4]
         engine.feed({b: True for b in rel})
-        assert not np.array_equal(engine.rule.weights_, np.ones(3))
-        assert engine.rule.weights_.sum() == pytest.approx(1.0)  # percentage
+        assert not np.array_equal(engine.fitted.weights, np.ones(3))
+        assert engine.fitted.weights.sum() == pytest.approx(1.0)  # percentage
 
     def test_irrelevant_only_feedback_keeps_weights(self, toy):
         ds, gt = toy
@@ -77,7 +77,7 @@ class TestWeightedRFEngine:
         irrel = [b.bag_id for b in ds.bags
                  if not gt.label_window(b.frame_lo, b.frame_hi)][:4]
         engine.feed({b: False for b in irrel})
-        assert engine.rule.weights_ is None
+        assert engine.fitted is None
         assert engine.rank() == before
 
     def test_low_variance_feature_gets_high_weight(self, toy):
@@ -88,7 +88,7 @@ class TestWeightedRFEngine:
         engine.feed({b: True for b in rel})
         # Relevant instances vary most in vdiff (the spike feature), so
         # vdiff gets the SMALLEST weight: the baseline's known blind spot.
-        assert engine.rule.weights_[1] == min(engine.rule.weights_)
+        assert engine.fitted.weights[1] == min(engine.fitted.weights)
 
     @pytest.mark.parametrize("norm", ["percentage", "linear", "none"])
     def test_all_normalizations_run(self, toy, norm):

@@ -200,8 +200,8 @@ class TestShardedSession:
             sharded.feed(labels)
             merged.feed(labels)
         assert sharded.engine.is_trained
-        assert np.array_equal(merged.rule.weights_,
-                              sharded.engine.rule.weights_)
+        assert np.array_equal(merged.fitted.weights,
+                              sharded.engine.fitted.weights)
 
     def test_incompatible_datasets_rejected(self, two_clip_db,
                                             small_tunnel,

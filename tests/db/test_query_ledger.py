@@ -93,6 +93,26 @@ class TestSessionLedgerIntegration:
                 {"gram_columns_reused", "gram_columns_computed",
                  "hit_rate"}
 
+    def test_fit_memo_hits_are_ledgered_per_session(self, tunnel_db,
+                                                    small_tunnel):
+        """Two users label the same bags: the second round's fit comes
+        from the corpus' fit memo, so it has no svm.fit span, and its
+        row says so.  Rounds without a fit say nothing."""
+        sessions = [SemanticQuerySession(tunnel_db, small_tunnel.name,
+                                         "accident", user_id=user, top_k=5)
+                    for user in ("ann", "bob")]
+        ids = sessions[0].results()
+        for session in sessions:
+            session.feed({b: (i % 2 == 0) for i, b in enumerate(ids)})
+        ops = {(s.session_id, r["op"]): r for s in sessions
+               for r in tunnel_db.query_rounds(session_id=s.session_id)}
+        feeds = [ops[s.session_id, "feed"] for s in sessions]
+        assert [r["detail"]["fits"] for r in feeds] == [
+            {"count": 1, "memo_hits": 0}, {"count": 1, "memo_hits": 1}]
+        assert [sum(s["name"] == "svm.fit" for s in r["spans"])
+                for r in feeds] == [1, 0]
+        assert "fits" not in ops[sessions[0].session_id, "results"]["detail"]
+
     def test_resumed_session_extends_same_ledger_session(self, tunnel_db,
                                                          small_tunnel):
         first = SemanticQuerySession(tunnel_db, small_tunnel.name,

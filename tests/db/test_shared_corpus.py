@@ -3,8 +3,9 @@
 ``sharded_corpus`` gets the corpus already open on a ``VideoDatabase``
 for the same key, or builds it.  Sharing is sound under live appends
 because everything derived from the corpus' rows — the global scaler,
-each shard's standardized matrix and Gram cache, and the catalog cursor
-that triggers a refresh — lives on the corpus, keyed to its epoch.
+each shard's standardized matrix and Gram cache, the rule fits, and the
+catalog cursor that triggers a refresh — lives on the corpus, keyed to
+its epoch.
 """
 
 import dataclasses
@@ -16,6 +17,9 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core import sharded
+from repro.core.bags import Bag
+from repro.core.diverse_density import DiverseDensityRule
 from repro.core.sharded import ShardedRetrievalEngine
 from repro.db import (ClipRecord, LabelRecord, MultiClipQuerySession,
                       SemanticQuerySession, StreamingIngest, VideoDatabase,
@@ -249,6 +253,20 @@ def _backing():
     return Backing(a=make_bags("a", 6, seed=1), b=make_bags("b", 5, seed=2))
 
 
+def _fed(corpus, labels, **kwargs):
+    engine = ShardedRetrievalEngine(corpus, **kwargs)
+    engine.feed(labels)
+    return engine
+
+
+def _scores_like_private(engine, labels, **kwargs):
+    """``engine`` scores every bag like one fed ``labels`` over a
+    private corpus."""
+    private = _fed(_backing().corpus("a", "b"), labels, **kwargs)
+    np.testing.assert_allclose(engine.bag_scores(), private.bag_scores(),
+                               rtol=0, atol=1e-9)
+
+
 @pytest.fixture()
 def scaler_calls(monkeypatch):
     """Counts of StandardScaler fits and transforms (standardizations)."""
@@ -326,6 +344,121 @@ class TestEpochState:
             np.testing.assert_allclose(engine.bag_scores(),
                                        private.bag_scores(), rtol=0,
                                        atol=1e-9)
+
+    def test_engines_with_one_relevant_set_share_one_fit(self, telemetry):
+        corpus = _backing().corpus("a", "b")
+        labels = {1: True, 7: True, 4: False}
+        first = _fed(corpus, labels)
+        # Another irrelevant label: the one-class rule does not read it.
+        second = _fed(corpus, {**labels, 9: False})
+        assert second.fitted is first.fitted
+        assert (first.fit_memo_hits, second.fit_memo_hits) == (0, 1)
+        assert telemetry.counter("sharded.fit_memo_hits").total() == 1
+        for engine, fed in ((first, labels), (second, {**labels, 9: False})):
+            _scores_like_private(engine, fed)
+
+    def test_a_new_epoch_misses(self):
+        backing = _backing()
+        corpus = backing.corpus("a", "b")
+        labels = {1: True, 7: True}
+        first = _fed(corpus, labels)
+        before = first.fitted
+        n_bags, n_inst = backing.grow("b", 2)
+        corpus.refresh("b", n_bags=n_bags, n_instances=n_inst)
+        second = _fed(corpus, labels)
+        assert second.fitted is not before
+        assert second.fit_memo_hits == 0
+        # The first engine refits in the new epoch, from the memo.
+        first.rank()
+        assert first.fitted is second.fitted
+        assert first.fit_memo_hits == 1
+
+    @pytest.mark.parametrize("params", [{"z": 0.1}, {"learner": "svdd"}])
+    def test_other_rule_parameters_miss(self, params):
+        corpus = _backing().corpus("a", "b")
+        labels = {1: True, 7: True, 2: True}
+        base = _fed(corpus, labels)
+        other = _fed(corpus, labels, **params)
+        assert other.fitted is not base.fitted
+        assert other.fit_memo_hits == 0
+        assert _fed(corpus, labels, **params).fitted is other.fitted
+        _scores_like_private(other, labels, **params)
+
+    def test_an_extra_empty_relevant_bag_misses(self):
+        """Both engines train on the same rows, but the empty bag counts
+        in Eq. 9's h, so they fit different nu."""
+        bags = make_bags("a", 6, seed=1)
+        bags.append(Bag(bag_id=6, clip_id="a", frame_lo=60, frame_hi=69,
+                        instances=()))
+        corpus = Backing(a=bags).corpus("a")
+        labels = {0: True, 1: True, 2: True}
+        base = _fed(corpus, labels, training_policy="all")
+        extra = _fed(corpus, {**labels, 6: True}, training_policy="all")
+        assert extra._training_ids == base._training_ids
+        assert extra.fitted is not base.fitted
+        assert extra.fit_memo_hits == 0
+        assert base.last_nu_ == pytest.approx(0.45)  # 1 - (3/6 + 0.05)
+        assert extra.last_nu_ == pytest.approx(1 - (4 / 6 + 0.05))
+
+    def test_the_memo_keeps_the_newest_fits(self, monkeypatch):
+        monkeypatch.setattr(sharded, "FIT_MEMO_ENTRIES", 2)
+        corpus = _backing().corpus("a", "b")
+        label_sets = [{1: True}, {2: True}, {3: True}]
+        fits = [_fed(corpus, labels).fitted for labels in label_sets]
+        assert _fed(corpus, label_sets[2]).fitted is fits[2]
+        assert _fed(corpus, label_sets[0]).fitted is not fits[0]
+
+    def test_diverse_density_misses_on_a_new_irrelevant_label(self):
+        corpus = _backing().corpus("a", "b")
+        labels = {1: True, 7: True, 4: False}
+        kwargs = {"rule": DiverseDensityRule, "max_starts": 2,
+                  "max_iter": 20}
+        base = _fed(corpus, labels, **kwargs)
+        assert _fed(corpus, labels, **kwargs).fitted is base.fitted
+        other = _fed(corpus, {**labels, 9: False}, **kwargs)
+        assert other.fitted is not base.fitted
+        assert other.fit_memo_hits == 0
+
+    def test_threads_on_a_cold_corpus_share_one_fit(self, telemetry):
+        """More threads than cores feed one relevant set into a cold
+        corpus, with a short switch interval: every engine holds the
+        first stored fit and scores like one over a private corpus.
+        Threads that fit before it was stored adopt it."""
+        n, trials = 6, 20
+        labels = {1: True, 7: True, 4: False}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(trials):
+                corpus = _backing().corpus("a", "b")
+                engines = [ShardedRetrievalEngine(corpus) for _ in range(n)]
+                barrier = threading.Barrier(n)
+                errors = []
+
+                def run(engine, barrier=barrier, errors=errors):
+                    try:
+                        barrier.wait(timeout=30)
+                        engine.feed(labels)
+                        engine.rank()
+                    except Exception as exc:  # noqa: BLE001 - asserted
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=run, args=(engine,))
+                           for engine in engines]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert errors == []
+                assert engines[0].fitted is not None
+                assert all(e.fitted is engines[0].fitted for e in engines)
+        finally:
+            sys.setswitchinterval(interval)
+        assert telemetry.counter("sharded.fit_memo_hits").total() \
+            <= trials * (n - 1)
+        for engine in engines:
+            _scores_like_private(engine, labels)
 
     def test_sharing_keeps_the_scores(self):
         """Engines over one shared live corpus score every bag like

@@ -141,6 +141,12 @@ class TestRenderRound:
         assert "coverage: complete: 1 shard(s), 40 bags" in text
         assert "shard tunnel: 15/20 candidates, recall 0.900" in text
 
+    def test_fits_on_the_quality_line(self):
+        row = self._row()
+        assert "fit memo" not in render_round(row)
+        row["detail"]["fits"] = {"count": 2, "memo_hits": 1}
+        assert "fits 2 (1 from the fit memo)" in render_round(row)
+
     def test_profile_excerpt(self):
         stacks = "\n".join(f"main (a.py:1);f{i} (b.py:{i}) {i}"
                            for i in range(8))

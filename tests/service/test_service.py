@@ -123,7 +123,7 @@ class TestSessionLifecycle:
         sid = doc["session"]
         status, doc = _label_round(service, sid)
         assert status == 200 and doc["round"] == 1
-        assert service._sessions[sid].session.engine.rule.weights_ \
+        assert service._sessions[sid].session.engine.fitted.weights \
             is not None
         ranked = _call(service, "GET", f"/sessions/{sid}/results")[1]
         assert _call(service, "DELETE", f"/sessions/{sid}")[0] == 200

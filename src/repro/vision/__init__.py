@@ -7,7 +7,7 @@ extraction with minimal bounding rectangles and centroids, and the
 PCA-based vehicle classifier of Zhang et al. [13].
 """
 
-from repro.vision.frames import VideoClip
+from repro.vision.frames import FrameReader, VideoClip
 from repro.vision.background import BackgroundModel, GaussianBackgroundModel
 from repro.vision.spcpe import SPCPE
 from repro.vision.blobs import Blob, clean_mask, extract_blobs
@@ -33,6 +33,7 @@ from repro.vision.metrics import (
 
 __all__ = [
     "VideoClip",
+    "FrameReader",
     "BackgroundModel",
     "GaussianBackgroundModel",
     "SPCPE",

@@ -14,8 +14,25 @@ import numpy as np
 
 from repro.errors import NotFittedError, PipelineError
 from repro.utils import check_in_range, check_positive
+from repro.vision.frames import FrameReader
 
 __all__ = ["BackgroundModel", "GaussianBackgroundModel"]
+
+
+def _bootstrap_sample(clip, count: int) -> np.ndarray:
+    """A uniform sample of ``count`` frames (all, if fewer) as float32.
+
+    ``clip`` is a :class:`~repro.vision.frames.VideoClip` or any indexable
+    frames.  A clip's sample renders on this thread and one helper thread
+    (:class:`~repro.vision.frames.FrameReader`), joined before this
+    returns.
+    """
+    n = len(clip)
+    if n == 0:
+        raise PipelineError("cannot learn a background from 0 frames")
+    indices = np.linspace(0, n - 1, min(count, n)).round().astype(int)
+    with FrameReader(clip, indices) as frames:
+        return np.stack([np.asarray(f, dtype=np.float32) for f in frames])
 
 
 class BackgroundModel:
@@ -53,15 +70,7 @@ class BackgroundModel:
         per-pixel median, which is robust to vehicles passing through as
         long as no pixel is occupied in more than half the sample.
         """
-        n = len(clip)
-        if n == 0:
-            raise PipelineError("cannot learn a background from 0 frames")
-        read = clip.get if hasattr(clip, "get") else clip.__getitem__
-        take = min(self.bootstrap_frames, n)
-        indices = np.linspace(0, n - 1, take).round().astype(int)
-        sample = np.stack(
-            [np.asarray(read(int(i)), dtype=np.float32) for i in indices]
-        )
+        sample = _bootstrap_sample(clip, self.bootstrap_frames)
         self.background = np.median(sample, axis=0)
         return self
 
@@ -146,15 +155,7 @@ class GaussianBackgroundModel:
 
     def learn(self, clip) -> "GaussianBackgroundModel":
         """Bootstrap mean and variance from a uniform frame sample."""
-        n = len(clip)
-        if n == 0:
-            raise PipelineError("cannot learn a background from 0 frames")
-        read = clip.get if hasattr(clip, "get") else clip.__getitem__
-        take = min(self.bootstrap_frames, n)
-        indices = np.linspace(0, n - 1, take).round().astype(int)
-        sample = np.stack(
-            [np.asarray(read(int(i)), dtype=np.float32) for i in indices]
-        )
+        sample = _bootstrap_sample(clip, self.bootstrap_frames)
         # Median/MAD estimators: robust to vehicles inside the sample.
         self.mean = np.median(sample, axis=0)
         mad = np.median(np.abs(sample - self.mean), axis=0)

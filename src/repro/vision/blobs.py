@@ -108,6 +108,8 @@ def extract_blobs(mask: np.ndarray, frame: np.ndarray | None = None,
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise PipelineError(f"mask must be 2-D, got shape {mask.shape}")
+    if frame is not None:
+        frame = np.asarray(frame)
     labels, n = ndimage.label(mask)
     if n == 0:
         return []
@@ -127,8 +129,8 @@ def extract_blobs(mask: np.ndarray, frame: np.ndarray | None = None,
         cy = float(ys.mean() + y_off)
         cx = float(xs.mean() + x_off)
         if frame is not None:
-            patch = np.asarray(frame, dtype=float)[box]
-            mean_intensity = float(patch[component].mean())
+            pixels = np.asarray(frame[box][component], dtype=float)
+            mean_intensity = float(pixels.mean())
         else:
             mean_intensity = float("nan")
         blobs.append(

@@ -4,17 +4,26 @@ A :class:`VideoClip` is a sequence of grayscale uint8 frames plus the
 metadata the database layer stores (clip id, fps, location, camera).
 Frames can be held eagerly (an ``(n, h, w)`` array) or produced lazily by a
 renderer, which matters for the paper-scale 2500-frame tunnel clip.
+A :class:`FrameReader` reads frames in order while a helper thread
+renders the next ones, so rendering overlaps the caller's segmentation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+import contextvars
+import threading
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import PipelineError
 
-__all__ = ["VideoClip"]
+__all__ = ["VideoClip", "FrameReader", "READ_AHEAD"]
+
+#: How many frames past the caller's position may be rendered ahead.  Two
+#: keep the helper busy while the caller segments a frame, and bound the
+#: rendered frames waiting in memory to two.
+READ_AHEAD = 2
 
 
 class VideoClip:
@@ -29,6 +38,15 @@ class VideoClip:
         fps: float = 25.0,
         metadata: dict | None = None,
     ) -> None:
+        """``frame_getter(i)`` returns frame ``i``.  It must be a pure
+        function of ``i`` and safe to call from another thread:
+        :class:`FrameReader` renders frames ahead on a helper thread, in
+        any order, and counts on the same index giving the same frame
+        whichever thread asks.  Both built-in getters qualify:
+        :meth:`from_array` indexes a fixed array, and
+        :meth:`from_simulation` seeds each frame's noise from
+        ``(render_seed, i)``.
+        """
         if n_frames <= 0:
             raise PipelineError(f"clip {clip_id!r} has no frames")
         if fps <= 0:
@@ -127,3 +145,133 @@ class VideoClip:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"VideoClip(id={self.clip_id!r}, n_frames={self.n_frames}, "
                 f"fps={self.fps})")
+
+
+class FrameReader:
+    """The frames at ``indices`` of ``frames``, in order, rendered ahead.
+
+    ``frames`` is a :class:`VideoClip` or any indexable sequence of
+    frames; a sequence is read in place, on the caller's thread.  For a
+    clip, the caller renders the first frame itself, which fixes the
+    clip's frame shape before another thread reads a frame.  Then one
+    helper thread renders up to :data:`READ_AHEAD` frames past the
+    caller's position, and a caller that would wait for the helper
+    renders the next frame nobody has started instead.  Every frame is
+    ``clip.get(i)``, a pure function of ``i`` (see :class:`VideoClip`),
+    so the frames are the same whichever thread renders them and in
+    whatever order.
+
+    The helper renders under a copy of the caller's :mod:`contextvars`
+    context, so a render's telemetry events carry the caller's query
+    context.  A frame that failed to render raises its exception when
+    the caller reaches it, and closes the reader.  :meth:`close` stops
+    the helper and joins it; iterating to the end or leaving a ``with``
+    block closes the reader, so the helper lives for one use only.
+    """
+
+    #: Name of the helper thread (tests look for leftover helpers).
+    THREAD_NAME = "repro-frame-reader"
+
+    def __init__(self, frames, indices: Iterable[int]) -> None:
+        self._ahead = isinstance(frames, VideoClip)
+        self._read = frames.get if self._ahead else frames.__getitem__
+        self._indices = [int(i) for i in indices]
+        self._next = 0       # the position the caller reads next
+        self._started = 0    # every position below it is taken by a thread
+        self._done: dict[int, tuple] = {}  # position -> (frame, error)
+        self._closed = False
+        self._cond = threading.Condition(threading.Lock())
+        self._context = contextvars.copy_context()
+        self._helper: threading.Thread | None = None
+
+    def __enter__(self) -> "FrameReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __iter__(self) -> "FrameReader":
+        return self
+
+    def __next__(self) -> np.ndarray:
+        pos = self._next
+        if self._closed or pos >= len(self._indices):
+            self.close()
+            raise StopIteration
+        try:
+            frame = self._take(pos)
+        except BaseException:
+            self.close()
+            raise
+        if (self._ahead and self._helper is None
+                and pos + 1 < len(self._indices)):
+            self._helper = threading.Thread(
+                target=self._context.run, args=(self._run_ahead,),
+                name=self.THREAD_NAME, daemon=True)
+            self._helper.start()
+        return frame
+
+    def _take(self, pos: int) -> np.ndarray:
+        """Frame ``pos``: from the helper, or rendered on this thread."""
+        end = len(self._indices)
+        while True:
+            with self._cond:
+                result = self._done.pop(pos, None)
+                if result is not None or self._started <= pos:
+                    if result is None:
+                        self._started = pos + 1
+                    self._next = pos + 1
+                    self._cond.notify()
+                    break
+                # The helper is rendering ``pos``: render a later frame
+                # meanwhile, or wait when the window is full.
+                spare = self._started
+                if spare >= min(end, self._next + READ_AHEAD):
+                    self._cond.wait()
+                    continue
+                self._started = spare + 1
+            try:
+                stolen = (self._read(self._indices[spare]), None)
+            except Exception as error:  # raised when the caller reaches it
+                stolen = (None, error)
+            with self._cond:
+                self._done[spare] = stolen
+        if result is None:
+            return self._read(self._indices[pos])
+        frame, error = result
+        if error is not None:
+            raise error
+        return frame
+
+    def _run_ahead(self) -> None:
+        """Helper thread: render the next unstarted frame in the window."""
+        end = len(self._indices)
+        while True:
+            with self._cond:
+                while (not self._closed and self._started < end
+                       and self._started >= self._next + READ_AHEAD):
+                    self._cond.wait()
+                if self._closed or self._started >= end:
+                    return
+                pos = self._started
+                self._started = pos + 1
+            try:
+                result = (self._read(self._indices[pos]), None)
+            except BaseException as error:
+                # Handed over, not swallowed: the caller raises it at
+                # ``pos``, and would wait forever if this thread died.
+                result = (None, error)
+            with self._cond:
+                if not self._closed:
+                    self._done[pos] = result
+                self._cond.notify()
+
+    def close(self) -> None:
+        """Stop the helper thread and join it; safe to call twice."""
+        with self._cond:
+            self._closed = True
+            self._done.clear()
+            self._cond.notify_all()
+        if self._helper is not None:
+            self._helper.join()
+            self._helper = None

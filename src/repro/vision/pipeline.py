@@ -8,13 +8,13 @@ with an MBR and a centroid, which the tracker then links over time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import PipelineError
 from repro.vision.background import BackgroundModel
 from repro.vision.blobs import Blob, clean_mask, extract_blobs
+from repro.vision.frames import FrameReader
 from repro.vision.spcpe import SPCPE
 
 __all__ = ["Detection", "SegmentationPipeline"]
@@ -99,8 +99,7 @@ class SegmentationPipeline:
         blobs = extract_blobs(mask, frame, min_area=self.min_area,
                               max_area=self.max_area)
         if self.spcpe is not None:
-            blobs = [self._refine(np.asarray(frame, dtype=float), mask, b)
-                     for b in blobs]
+            blobs = [self._refine(frame, mask, b) for b in blobs]
         return [Detection(frame=frame_index, blob=b) for b in blobs]
 
     def process(self, clip) -> list[list[Detection]]:
@@ -108,19 +107,15 @@ class SegmentationPipeline:
 
         ``clip`` is a :class:`~repro.vision.frames.VideoClip` or any
         sequence of frames.  The background is bootstrapped from the clip
-        if the model is not already fitted.
+        if the model is not already fitted.  A clip's frames render ahead
+        on a helper thread while this one segments (see
+        :class:`~repro.vision.frames.FrameReader`); the helper is joined
+        before this returns.
         """
-        frames: Iterable[np.ndarray]
-        if hasattr(clip, "get"):
-            if not self.background.is_fitted:
-                self.background.learn(clip)
-            frames = iter(clip)
-        else:
-            seq: Sequence[np.ndarray] = clip
-            if not self.background.is_fitted:
-                self.background.learn(seq)
-            frames = iter(seq)
-        return [self.detect(i, frame) for i, frame in enumerate(frames)]
+        if not self.background.is_fitted:
+            self.background.learn(clip)
+        with FrameReader(clip, range(len(clip))) as frames:
+            return [self.detect(i, frame) for i, frame in enumerate(frames)]
 
     def process_range(self, clip, lo: int, hi: int) -> list[list[Detection]]:
         """Process frames ``[lo, hi)`` of a clip, carrying model state.
@@ -131,7 +126,8 @@ class SegmentationPipeline:
         whole clip just as the batch path does, and the selective running
         average then sees the frames in the same global order.  The
         pipeline object is picklable between calls, so a resumed ingest
-        can restore it mid-clip.
+        can restore it mid-clip: frames render ahead as in
+        :meth:`process`, and no reader or thread outlives the call.
         """
         if not 0 <= lo <= hi <= len(clip):
             raise PipelineError(
@@ -139,5 +135,6 @@ class SegmentationPipeline:
             )
         if not self.background.is_fitted:
             self.background.learn(clip)
-        read = clip.get if hasattr(clip, "get") else clip.__getitem__
-        return [self.detect(i, read(i)) for i in range(lo, hi)]
+        with FrameReader(clip, range(lo, hi)) as frames:
+            return [self.detect(i, frame)
+                    for i, frame in enumerate(frames, start=lo)]

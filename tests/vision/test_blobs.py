@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from repro.errors import PipelineError
-from repro.vision import clean_mask, extract_blobs
+from repro.vision import (
+    Blob,
+    Detection,
+    SegmentationPipeline,
+    VideoClip,
+    clean_mask,
+    extract_blobs,
+)
 
 
 def _scipy_clean(mask, open_iterations, close_iterations):
@@ -93,6 +100,69 @@ class TestExtractBlobs:
         assert b.x0 <= b.cx <= b.x1
         assert b.y0 <= b.cy <= b.y1
         assert b.area == dh * dw
+
+
+def _extract_blobs_reference(mask, frame, *, min_area, max_area):
+    """``extract_blobs`` as it was: the whole frame is converted to float
+    for every blob kept, and the patch is cut from the converted copy."""
+    labels, _ = ndimage.label(mask)
+    blobs = []
+    for index, box in enumerate(ndimage.find_objects(labels), start=1):
+        if box is None:
+            continue
+        component = labels[box] == index
+        area = int(component.sum())
+        if area < min_area or (max_area is not None and area > max_area):
+            continue
+        ys, xs = np.nonzero(component)
+        y_off, x_off = box[0].start, box[1].start
+        patch = np.asarray(frame, dtype=float)[box]
+        blobs.append(Blob(
+            cx=float(xs.mean() + x_off), cy=float(ys.mean() + y_off),
+            x0=int(x_off), y0=int(y_off), x1=int(box[1].stop),
+            y1=int(box[0].stop), area=area,
+            mean_intensity=float(patch[component].mean())))
+    return blobs
+
+
+class TestFrameConversion:
+    """Converting only a blob's own pixels (and, with SPCPE, only its
+    patch) gives the Blobs of the whole-frame conversion, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def frames(self, small_intersection):
+        clip = VideoClip.from_simulation(small_intersection, render_seed=2)
+        return np.stack([clip.get(i) for i in range(120)])
+
+    def test_blob_lists_equal_the_whole_frame_conversion(self, frames):
+        pipeline = SegmentationPipeline(use_spcpe=False)
+        pipeline.background.learn(frames)
+        kept = 0
+        for frame in frames[30:]:
+            mask = clean_mask(pipeline.background.apply(frame))
+            got = extract_blobs(mask, frame, min_area=25, max_area=4000)
+            assert got == _extract_blobs_reference(
+                mask, frame, min_area=25, max_area=4000)
+            kept += len(got)
+        assert kept > 50
+
+    def test_spcpe_detections_equal_the_whole_frame_conversion(self, frames):
+        new, old = (SegmentationPipeline(use_spcpe=True) for _ in range(2))
+        new.background.learn(frames)
+        old.background.learn(frames)
+        refined = 0
+        for i, frame in enumerate(frames[30:90], start=30):
+            got = new.detect(i, frame)
+            mask = clean_mask(old.background.apply(frame))
+            blobs = _extract_blobs_reference(
+                mask, frame, min_area=old.min_area, max_area=old.max_area)
+            expected = [
+                Detection(i, old._refine(np.asarray(frame, dtype=float),
+                                         mask, b))
+                for b in blobs]
+            assert got == expected
+            refined += len(got)
+        assert refined > 20
 
 
 class TestCleanMask:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+import time
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,6 +40,19 @@ from repro.errors import (
 from repro.trajectory.curve import TrajectoryModel
 
 __all__ = ["VideoDatabase", "connect_sqlite"]
+
+#: The label history, clustered on the tenant's history: the key leads
+#: with ``(clip_id, event, user_id)`` and then the round, so one round's
+#: rows share a leaf page and a label commit writes one B-tree.
+_LABELS_TABLE = """(
+    clip_id     TEXT NOT NULL,
+    event       TEXT NOT NULL,
+    bag_id      INTEGER NOT NULL,
+    user_id     TEXT NOT NULL,
+    round_index INTEGER NOT NULL,
+    relevant    INTEGER NOT NULL,
+    PRIMARY KEY (clip_id, event, user_id, round_index, bag_id)
+) WITHOUT ROWID"""
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS clips (
@@ -91,18 +105,7 @@ CREATE TABLE IF NOT EXISTS instances (
     track_id    INTEGER NOT NULL,
     PRIMARY KEY (clip_id, event, instance_id)
 );
-CREATE TABLE IF NOT EXISTS labels (
-    clip_id     TEXT NOT NULL,
-    event       TEXT NOT NULL,
-    bag_id      INTEGER NOT NULL,
-    user_id     TEXT NOT NULL,
-    round_index INTEGER NOT NULL,
-    relevant    INTEGER NOT NULL,
-    PRIMARY KEY (clip_id, event, bag_id, user_id, round_index)
-);
-CREATE INDEX IF NOT EXISTS idx_labels_head
-    ON labels (clip_id, event, user_id, round_index, bag_id, relevant);
-DROP INDEX IF EXISTS idx_labels_query;
+CREATE TABLE IF NOT EXISTS labels """ + _LABELS_TABLE + """;
 CREATE TABLE IF NOT EXISTS artifact_entries (
     key         TEXT PRIMARY KEY,
     clip_id     TEXT NOT NULL,
@@ -170,18 +173,21 @@ CREATE INDEX IF NOT EXISTS idx_sessions_user
 """
 
 
-#: The round guard's read: one tenant's latest stored round, which
-#: ``idx_labels_head`` answers without touching other tenants' labels.
+#: The round guard's read: one tenant's latest stored round, a search of
+#: the ``labels`` key's ``(clip_id, event, user_id)`` prefix that touches
+#: no other tenant's labels.
 ROUND_HEAD_SQL = ("SELECT MAX(round_index) FROM labels"
                   " WHERE clip_id=? AND event=? AND user_id=?")
+
+#: The first statement of the one-time rebuild of a ``labels`` table
+#: written before the clustered layout (see ``VideoDatabase``).
+CLUSTER_LABELS_SQL = "CREATE TABLE labels_clustered " + _LABELS_TABLE
 
 #: Legal per-segment ingest states, in normal progression order.
 INGEST_STATES = ("pending", "built", "appended", "failed")
 
 
 def _utc_now() -> str:
-    import time
-
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
@@ -327,9 +333,12 @@ class VideoDatabase:
     quick_check:
         Run ``PRAGMA quick_check`` on open (file-backed databases
         only) and raise :class:`~repro.errors.StorageError` on
-        corruption instead of failing later mid-query.  ``repro
-        verify-db`` opens with this disabled so a damaged catalog can
-        still be inspected and repaired.
+        corruption instead of failing later mid-query.  A checked open
+        also rebuilds, once, a ``labels`` table written before the
+        clustered layout.  ``repro verify-db`` opens with this disabled
+        so a damaged catalog can still be inspected and repaired; such
+        an open leaves the layout as it finds it, and every statement
+        reads and writes either layout.
 
     Threads may share one instance.  For a file path each calling
     thread gets its own connection, opened on its first call, so no two
@@ -358,9 +367,12 @@ class VideoDatabase:
         #: The sharded corpora open over this catalog, by build key, held
         #: weakly (see :func:`repro.db.query.sharded_corpus`).
         self.corpora = weakref.WeakValueDictionary()
-        if quick_check and self.path != ":memory:":
+        checked = quick_check and self.path != ":memory:"
+        if checked:
             self._quick_check()
         self._conn.executescript(_SCHEMA)
+        if checked:
+            self._cluster_labels()
         if array_store is not None:
             self.arrays = array_store
         elif self.path == ":memory:":
@@ -939,8 +951,6 @@ class VideoDatabase:
         """Persist one run's telemetry summary (see
         :func:`repro.obs.report.run_summary`); ``repro stats`` reads it
         back.  Re-recording a ``run_id`` overwrites it."""
-        import json
-
         if not run_id:
             raise StorageError("run_id must be non-empty")
         with self._conn:
@@ -952,8 +962,6 @@ class VideoDatabase:
 
     def run_metrics(self, run_id: str | None = None) -> list[dict]:
         """Stored run summaries, newest first (all, or one by id)."""
-        import json
-
         sql = ("SELECT run_id, command, created_at, wall_ms, summary "
                "FROM run_metrics")
         params: list = []
@@ -985,8 +993,6 @@ class VideoDatabase:
         collapsed-stack tail profile when one was captured.  Append-only
         by design — re-running a round adds a row, history is evidence.
         """
-        import json
-
         if not session_id or not query_id:
             raise StorageError(
                 "session_id and query_id must be non-empty")
@@ -1008,8 +1014,6 @@ class VideoDatabase:
                      query_id: str | None = None,
                      round_index: int | None = None) -> list[dict]:
         """Ledger rows in recording order, optionally filtered."""
-        import json
-
         sql = ("SELECT session_id, query_id, corpus_id, event, user_id, "
                "round_index, op, created_at, latency_ms, detail, spans, "
                "profile FROM query_rounds")
@@ -1058,6 +1062,58 @@ class VideoDatabase:
                 f"database {self.path!r} failed quick_check: "
                 f"{problems} — run 'repro verify-db "
                 f"--db {self.path}' to inspect and repair")
+
+    def _labels_clustered(self) -> bool:
+        """Whether ``labels`` has the clustered (``WITHOUT ROWID``) layout."""
+        rows = self._conn.execute(
+            "SELECT sql FROM sqlite_master"
+            " WHERE type='table' AND name='labels'").fetchall()
+        return "WITHOUT ROWID" in rows[0][0].upper()
+
+    def _cluster_labels(self) -> None:
+        """Rebuild a ``labels`` table written before the clustered layout.
+
+        One ``BEGIN IMMEDIATE`` transaction copies every row into the
+        clustered table, drops the old table (its indexes go with it)
+        and renames the new one; each statement is its own ``execute``,
+        because ``executescript`` would commit first.  The layout is
+        checked again under the write lock, since another connection
+        may have rebuilt the table while this one waited.  A rebuild
+        that fails rolls back and leaves the old layout, which every
+        statement still reads and writes; the next checked open tries
+        again.
+        """
+        if self._labels_clustered():
+            return
+        from repro.obs import get_telemetry
+
+        obs = get_telemetry()
+        started = time.perf_counter()
+        try:
+            self._conn.execute("BEGIN IMMEDIATE")
+            try:
+                if self._labels_clustered():
+                    self._conn.rollback()
+                    return
+                self._conn.execute(CLUSTER_LABELS_SQL)
+                copied = self._conn.execute(
+                    "INSERT INTO labels_clustered SELECT clip_id, event,"
+                    " bag_id, user_id, round_index, relevant FROM labels"
+                ).rowcount
+                self._conn.execute("DROP TABLE labels")
+                self._conn.execute(
+                    "ALTER TABLE labels_clustered RENAME TO labels")
+                self._conn.commit()
+            except BaseException:
+                self._conn.rollback()
+                raise
+        except StorageError as exc:
+            obs.event("db.labels_cluster_failed", level="warning",
+                      path=self.path, reason=str(exc))
+            return
+        obs.event("db.labels_clustered", path=self.path, rows=copied,
+                  wall_ms=round((time.perf_counter() - started) * 1000.0,
+                                3))
 
     def _run_quick_check(self) -> str:
         """``PRAGMA quick_check`` as a string: ``"ok"`` or the problems.
@@ -1254,8 +1310,6 @@ class VideoDatabase:
 
     def export_clip(self, clip_id: str, path: str | Path) -> None:
         """Write one clip (catalog rows + arrays) to a portable npz file."""
-        import json
-
         record = self.clip(clip_id)
         manifest = {
             "format": "repro-clip-bundle-v1",
@@ -1301,8 +1355,6 @@ class VideoDatabase:
     def import_clip(self, path: str | Path, *,
                     replace: bool = False) -> ClipRecord:
         """Load a clip bundle written by :meth:`export_clip`."""
-        import json
-
         with np.load(path) as bundle:
             manifest = json.loads(bytes(bundle["manifest"]).decode("utf-8"))
             if manifest.get("format") != "repro-clip-bundle-v1":

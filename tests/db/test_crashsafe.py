@@ -13,10 +13,18 @@ import numpy as np
 import pytest
 
 from repro.db import ClipRecord, VideoDatabase
+from repro.db.database import CLUSTER_LABELS_SQL
 from repro.errors import StorageError
 from repro.pipeline import MemoryArtifactStore
+from repro.reliability import FaultInjector, FaultPlan, FaultRule
 
 from tests.core.test_sharded import _clip
+from tests.db.test_session_conflicts import (
+    label_history,
+    label_layout,
+    label_reads,
+    old_layout_catalog,
+)
 
 PAGE = 4096
 
@@ -195,3 +203,51 @@ class TestVerifyRepair:
         assert db.verify()["healthy"]
         assert 9999 not in {
             int(i) for i in db.arrays.load(key)["instance_ids"]}
+
+
+class TestLabelLayoutRebuild:
+    """The one-time rebuild of a ``labels`` table written before the
+    clustered layout, on the paths where it must not happen or fails."""
+
+    def test_unchecked_open_keeps_a_damaged_old_layout(self, tmp_path):
+        path = tmp_path / "v.db"
+        old_layout_catalog(path, "head", label_history())
+        _filler(path)
+        _corrupt_leaf_page(path)
+        layout = label_layout(path)
+        assert layout[0] == "rowid"
+        with pytest.raises(StorageError, match="quick_check"):
+            VideoDatabase(path)
+        db = VideoDatabase(path, quick_check=False)
+        report = db.verify()
+        db.close()
+        assert report["quick_check"] != "ok"
+        assert not report["healthy"]
+        assert label_layout(path) == layout
+
+    def test_busy_rebuild_opens_the_old_layout_and_the_next_open_rebuilds(
+            self, tmp_path, fresh_telemetry):
+        path = tmp_path / "v.db"
+        history = label_history()
+        old_layout_catalog(path, "head", history)
+        with VideoDatabase(path, quick_check=False) as db:
+            old_reads = label_reads(db)
+        injector = FaultInjector(FaultPlan([
+            FaultRule(op="db.execute", kind="busy", calls=(1,),
+                      key_substring=CLUSTER_LABELS_SQL)]))
+
+        def rebuild_events():
+            return [(e["name"], e["level"]) for e in fresh_telemetry.events
+                    if e["name"].startswith("db.labels_cluster")]
+
+        with VideoDatabase(path, connection_factory=injector.connect) as db:
+            assert label_reads(db) == old_reads
+        assert [f.kind for f in injector.injected] == ["busy"]
+        assert rebuild_events() == [("db.labels_cluster_failed", "warning")]
+        assert label_layout(path)[0] == "rowid"
+
+        with VideoDatabase(path, connection_factory=injector.connect) as db:
+            assert label_reads(db) == old_reads
+        assert rebuild_events() == [("db.labels_cluster_failed", "warning"),
+                                    ("db.labels_clustered", "info")]
+        assert label_layout(path) == ("clustered", set())

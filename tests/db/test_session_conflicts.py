@@ -1,13 +1,27 @@
 """Session-concurrency regressions: the lost-update race, ambiguous
 session ids, and multi-worker access to one WAL catalog."""
 
+import json
+import os
 import sys
+import tempfile
 import threading
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MultiClipOracle
-from repro.db import MultiClipQuerySession, SessionRecord, VideoDatabase
+from repro.db import (
+    ClipRecord,
+    MultiClipQuerySession,
+    SessionRecord,
+    VideoDatabase,
+)
 from repro.db.database import ROUND_HEAD_SQL, connect_sqlite
 from repro.db.schema import LabelRecord
 from repro.errors import (
@@ -25,6 +39,132 @@ def _labels(round_index, *, user="ana", n=3, relevant=True):
     return [LabelRecord(clip_id="merged:a+b", event_name="accident",
                         bag_id=i, user_id=user, round_index=round_index,
                         relevant=relevant) for i in range(n)]
+
+
+#: The ``labels`` layouts written before the clustered one, kept here as
+#: the reference the rebuild and the layout-equivalence test check
+#: against: a rowid table keyed by bag id before tenant, with the round
+#: guard's index (``head``) or the older tenant-prefix index (``query``).
+_ROWID_LABELS = """
+CREATE TABLE labels (
+    clip_id     TEXT NOT NULL,
+    event       TEXT NOT NULL,
+    bag_id      INTEGER NOT NULL,
+    user_id     TEXT NOT NULL,
+    round_index INTEGER NOT NULL,
+    relevant    INTEGER NOT NULL,
+    PRIMARY KEY (clip_id, event, bag_id, user_id, round_index)
+);
+"""
+OLD_LABEL_LAYOUTS = {
+    "head": _ROWID_LABELS + """
+CREATE INDEX idx_labels_head
+    ON labels (clip_id, event, user_id, round_index, bag_id, relevant);
+""",
+    "query": _ROWID_LABELS + """
+CREATE INDEX idx_labels_query
+    ON labels (clip_id, event, user_id);
+""",
+}
+
+
+def rewind_labels(conn, layout) -> None:
+    """Give a catalog's ``labels`` table an earlier layout, rows kept."""
+    conn.executescript(
+        "ALTER TABLE labels RENAME TO labels_now;"
+        + OLD_LABEL_LAYOUTS[layout]
+        + "INSERT INTO labels SELECT * FROM labels_now;"
+        " DROP TABLE labels_now; VACUUM;")
+
+
+def old_layout_catalog(path, layout, labels) -> None:
+    """A file-backed catalog holding ``labels`` in an earlier layout."""
+    with VideoDatabase(path) as db:
+        db.add_labels(labels)
+    conn = connect_sqlite(str(path))
+    try:
+        rewind_labels(conn, layout)
+    finally:
+        conn.close()
+
+
+def label_layout(path) -> tuple[str, set[str]]:
+    """``labels``' layout (``rowid``/``clustered``) and its indexes."""
+    conn = connect_sqlite(str(path))
+    try:
+        sql = conn.execute("SELECT sql FROM sqlite_master"
+                           " WHERE type='table' AND name='labels'"
+                           ).fetchone()[0]
+        indexes = {row[0] for row in conn.execute(
+            "SELECT name FROM sqlite_master"
+            " WHERE type='index' AND tbl_name='labels'")}
+    finally:
+        conn.close()
+    return ("clustered" if "WITHOUT ROWID" in sql else "rowid"), indexes
+
+
+_CORPORA = ("a", "merged:a+b")
+_EVENTS = ("accident", "stall")
+_TENANTS = ("ana", "bob", "cy")
+
+
+def label_history() -> list[LabelRecord]:
+    """Four rounds of five labels per tenant and corpus, with bags
+    relabelled across rounds."""
+    return [LabelRecord(clip_id=corpus, event_name="accident",
+                        bag_id=(3 * r + b) % 7, user_id=user,
+                        round_index=r, relevant=(b + u + r) % 3 == 0)
+            for corpus in _CORPORA for u, user in enumerate(_TENANTS)
+            for r in range(4) for b in range(5)]
+
+
+_RECORD = st.builds(
+    LabelRecord, clip_id=st.sampled_from(_CORPORA),
+    event_name=st.sampled_from(_EVENTS), bag_id=st.integers(0, 5),
+    user_id=st.sampled_from(_TENANTS), round_index=st.integers(0, 3),
+    relevant=st.booleans())
+#: One ``add_labels`` call: its records and its guard (unguarded, the
+#: stored next round, or a fixed round that may be stale or ahead).
+_BATCH = st.tuples(st.lists(_RECORD, min_size=1, max_size=8),
+                   st.one_of(st.none(), st.just("next"),
+                             st.integers(0, 4)))
+
+
+def _heads():
+    return [(c, e, u) for c in _CORPORA for e in _EVENTS for u in _TENANTS]
+
+
+def _next_round(db, head) -> int:
+    rounds = [r.round_index for r in db.labels(
+        head.clip_id, head.event_name, head.user_id)]
+    return max(rounds) + 1 if rounds else 0
+
+
+def _guarded_write(db, records, expect_round):
+    """``add_labels``' outcome: committed, or the guard's stored round."""
+    try:
+        db.add_labels(records, expect_round=expect_round)
+    except SessionConflictError as exc:
+        return "conflict", exc.stored_next_round
+    return "committed", None
+
+
+def label_reads(db) -> dict:
+    """Every ``labels()`` read of the test corpora, without a user
+    (key ``None``) and per tenant."""
+    reads = {None: [r for c in _CORPORA for e in _EVENTS
+                    for r in db.labels(c, e)]}
+    for c, e, u in _heads():
+        reads[c, e, u] = db.labels(c, e, u)
+    return reads
+
+
+def _exported_labels(db, clip_id, tmp) -> Counter:
+    path = Path(tmp) / "bundle.npz"
+    db.export_clip(clip_id, path)
+    with np.load(path) as bundle:
+        manifest = json.loads(bytes(bundle["manifest"]).decode("utf-8"))
+    return Counter(tuple(row) for row in manifest["labels"])
 
 
 @pytest.fixture()
@@ -82,17 +222,9 @@ class TestOptimisticRoundGuard:
 class TestRoundGuardIndex:
     """The guard reads only its own tenant's rows.  It used to search the
     primary key's ``(clip_id, event)`` prefix, so its cost grew with every
-    other tenant's labels on the corpus."""
-
-    @staticmethod
-    def _label_indexes(path) -> set[str]:
-        conn = connect_sqlite(str(path))
-        try:
-            return {row[0] for row in conn.execute(
-                "SELECT name FROM sqlite_master"
-                " WHERE type='index' AND tbl_name='labels'")}
-        finally:
-            conn.close()
+    other tenant's labels on the corpus.  Since the table is clustered on
+    the tenant's history, the key itself is the guard's index, and a
+    catalog in an earlier layout is rebuilt once, on a checked open."""
 
     def test_guard_searches_one_tenant(self, tmp_path):
         path = tmp_path / "catalog.sqlite"
@@ -116,28 +248,119 @@ class TestRoundGuardIndex:
             conn.close()
         assert len(plan) == 1, plan
         assert plan[0].startswith("SEARCH"), plan
-        assert ("INDEX idx_labels_head "
+        assert ("PRIMARY KEY "
                 "(clip_id=? AND event=? AND user_id=?)") in plan[0], plan
 
     def test_reopen_replaces_the_old_index(self, tmp_path):
+        history = label_history()
+        for layout in OLD_LABEL_LAYOUTS:
+            path = tmp_path / f"{layout}.sqlite"
+            old_layout_catalog(path, layout, history)
+            old = ("rowid", {"sqlite_autoindex_labels_1",
+                             f"idx_labels_{layout}"})
+            assert label_layout(path) == old
+            with VideoDatabase(path, quick_check=False) as db:
+                old_reads = label_reads(db)
+            assert label_layout(path) == old
+            with VideoDatabase(path) as db:
+                assert label_reads(db) == old_reads
+                assert len(old_reads[None]) == len(history)
+                with pytest.raises(SessionConflictError) as err:
+                    db.add_labels(_labels(1, user="bob"), expect_round=1)
+                assert err.value.stored_next_round == 4
+                db.add_labels(_labels(4, user="bob"), expect_round=4)
+            assert label_layout(path) == ("clustered", set())
+
+    def test_concurrent_first_opens_rebuild_once(self, tmp_path,
+                                                 fresh_telemetry):
+        """More threads than cores, switching often, each open their own
+        catalog on one old-layout file: exactly one rebuilds it."""
         path = tmp_path / "old.sqlite"
+        history = label_history()
+        old_layout_catalog(path, "head", history)
+        with VideoDatabase(path, quick_check=False) as db:
+            old_reads = label_reads(db)
+        n_threads = (os.cpu_count() or 1) + 2
+        barrier = threading.Barrier(n_threads)
+        opened, errors = [], []
+
+        def open_catalog():
+            try:
+                barrier.wait(timeout=30)
+                opened.append(VideoDatabase(path))
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=open_catalog)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(previous)
+            for db in opened:
+                db.close()
+        assert not errors, errors
+        assert len(opened) == n_threads
+        rebuilds = [e for e in fresh_telemetry.events
+                    if e["name"].startswith("db.labels_cluster")]
+        assert [e["name"] for e in rebuilds] == ["db.labels_clustered"]
+        assert rebuilds[0]["rows"] == len(history)
+        assert label_layout(path) == ("clustered", set())
         with VideoDatabase(path) as db:
-            db.add_labels(_labels(0))
-        # Rewind the catalog to the schema before idx_labels_head.
-        conn = connect_sqlite(str(path))
-        conn.executescript(
-            "DROP INDEX idx_labels_head;"
-            " CREATE INDEX idx_labels_query"
-            " ON labels (clip_id, event, user_id);")
-        conn.close()
-        old = self._label_indexes(path)
-        assert "idx_labels_query" in old and "idx_labels_head" not in old
-        with VideoDatabase(path) as db:
-            db.add_labels(_labels(1), expect_round=1)
-            assert len(db.labels("merged:a+b", "accident", "ana")) == 6
-        indexes = self._label_indexes(path)
-        assert "idx_labels_head" in indexes
-        assert "idx_labels_query" not in indexes
+            assert label_reads(db) == old_reads
+
+
+class TestLabelLayoutEquivalence:
+    """The same ``add_labels`` batches, sent to a catalog in an earlier
+    layout and to a clustered one, read back the same everywhere."""
+
+    @pytest.mark.parametrize("layout", sorted(OLD_LABEL_LAYOUTS))
+    @settings(max_examples=60, deadline=None)
+    @given(batches=st.lists(_BATCH, min_size=1, max_size=14))
+    def test_layouts_agree(self, layout, batches):
+        old, new = VideoDatabase(), VideoDatabase()
+        rewind_labels(old._conn, layout)
+        try:
+            for db in (old, new):
+                for corpus in _CORPORA:
+                    db.add_clip(ClipRecord(clip_id=corpus, fps=25.0,
+                                           n_frames=100, width=320,
+                                           height=240))
+            for records, guard in batches:
+                expect_round = None
+                if guard is not None:
+                    head = records[0]
+                    expect_round = (_next_round(old, head)
+                                    if guard == "next" else guard)
+                    records = [replace(r, clip_id=head.clip_id,
+                                       event_name=head.event_name,
+                                       user_id=head.user_id,
+                                       round_index=expect_round)
+                               for r in records]
+                assert (_guarded_write(old, records, expect_round)
+                        == _guarded_write(new, records, expect_round))
+            assert label_reads(old) == label_reads(new)
+            for corpus, event, user in _heads():
+                assert (old.accumulated_labels(corpus, event, user)
+                        == new.accumulated_labels(corpus, event, user))
+                probe = [LabelRecord(clip_id=corpus, event_name=event,
+                                     bag_id=0, user_id=user,
+                                     round_index=0, relevant=True)]
+                assert (_guarded_write(old, probe, -1)
+                        == _guarded_write(new, probe, -1))
+            with tempfile.TemporaryDirectory() as tmp:
+                for corpus in _CORPORA:
+                    assert (_exported_labels(old, corpus, tmp)
+                            == _exported_labels(new, corpus, tmp))
+        finally:
+            old.close()
+            new.close()
 
 
 class TestLostUpdateRace:

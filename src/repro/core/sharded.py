@@ -19,9 +19,9 @@ the coarse-to-fine shape of progressive surveillance search systems:
    shards through the per-shard :class:`~repro.svm.gram_cache.GramCache`
    so warm rounds reuse kernel columns, pruned shards as one small
    kernel block;
-3. per-shard rankings are **k-way merged** lazily under the global
-   deterministic order (score descending, bag id ascending), with pruned
-   bags appended after all candidates in heuristic order.
+3. one ``np.lexsort`` over every served bag orders the round: all
+   candidates under the global deterministic order (score descending,
+   bag id ascending), then the pruned bags in heuristic order.
 
 Global bag/instance ids replicate ``merge_datasets``' positional
 renumbering, so with pruning disabled (``candidates_per_shard=None``)
@@ -37,13 +37,12 @@ lazily-loading specs without this module importing the storage layer.
 
 from __future__ import annotations
 
-import heapq
 import numbers
 import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from itertools import groupby, islice
+from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping
 
@@ -65,8 +64,8 @@ from repro.svm.scaling import StandardScaler
 from repro.utils import check_in_range
 
 __all__ = ["ShardSpec", "CorpusShard", "ShardedCorpus",
-           "ShardedRetrievalEngine", "HeuristicNominator", "IVFNominator",
-           "ShardOutage", "CoverageReport", "InstanceExplanation"]
+           "ShardedRetrievalEngine", "IVFNominator", "ShardOutage",
+           "CoverageReport", "InstanceExplanation"]
 
 #: Fits a corpus keeps per epoch (:meth:`ShardedCorpus.memoized_fit`);
 #: past it, the oldest goes first.
@@ -181,9 +180,6 @@ class CorpusShard:
         #: until then); ``gram_cache`` holds columns of that matrix.
         self.epoch: int | None = None
 
-        # candidate_positions memo: m (or None) -> positions; an append
-        # clears it (set_initial_scores).
-        self._candidate_cache: dict[int | None, np.ndarray] = {}
         self.heuristic_order_computes = 0
         self.set_initial_scores(*heuristic_scores(self.dataset))
         #: n_cells -> this shard's IVF index (see ivf_index).
@@ -202,8 +198,8 @@ class CorpusShard:
         ``instance_scores`` maps global instance ids to scores.  Every
         array built from them is rebuilt: the instance score vector,
         each bag's instances in descending score order (what the
-        training policy picks from) and the bag layout; the memos keyed
-        on the old nomination order are dropped.
+        training policy picks from) and the bag layout; the nomination
+        order keyed on the old scores is dropped.
         """
         bags = self.dataset.bags
         self.heuristic_bags = np.asarray(bag_scores, dtype=float)
@@ -225,7 +221,6 @@ class CorpusShard:
             ([0], np.cumsum(self.bag_sizes)))[:-1].astype(int)
         self._heuristic_order: np.ndarray | None = None
         self._heuristic_rank: np.ndarray | None = None
-        self._candidate_cache.clear()
 
     def _add_bags(self, bags) -> None:
         """Append clip-local ``bags`` in order, renumbered into the
@@ -280,19 +275,8 @@ class CorpusShard:
 
     def candidate_positions(self, m: int | None) -> np.ndarray:
         """Top-``m`` bag positions by heuristic score (all if ``m`` is
-        ``None`` or >= the shard's bag count).
-
-        Memoized per ``m`` — the engine asks for the same prefix every
-        round, and the answer only changes when the shard's data does
-        (:meth:`append_local` drops the memo).
-        """
-        cached = self._candidate_cache.get(m)
-        if cached is not None:
-            return cached
-        order = self.heuristic_order
-        positions = order if m is None or m >= len(order) else order[:m]
-        self._candidate_cache[m] = positions
-        return positions
+        ``None``): a prefix of the cached :attr:`heuristic_order`."""
+        return self.heuristic_order[:m]
 
     def ivf_index(self, *, n_cells: int = 32) -> IVFIndex:
         """The shard's ``n_cells``-cell IVF index.
@@ -623,9 +607,9 @@ class ShardedCorpus:
         """Monotonic counter of quarantine-set changes.
 
         Bumped when a healthy shard enters quarantine and when a
-        quarantined shard recovers — engines key their per-round merge
-        streams on this so a mid-session outage re-ranks instead of
-        serving a stale round that still includes the dead shard.
+        quarantined shard recovers — engines key their cached round on
+        this so a mid-session outage re-ranks instead of serving a stale
+        round that still includes the dead shard.
         """
         return self._availability
 
@@ -820,25 +804,6 @@ class ShardedCorpus:
                 f"bags={self._n_bags})")
 
 
-class HeuristicNominator:
-    """Stage-one default: nominate each shard's top-M heuristic bags.
-
-    This is the exact-compatible path — with ``candidates_per_shard=None``
-    every bag is nominated and the two-stage ranking reproduces the
-    merged dataset's.
-    """
-
-    name = "heuristic"
-
-    #: Recall of the latest nominate() vs the heuristic baseline; the
-    #: heuristic *is* the baseline, so exact by construction.
-    last_recall: float | None = 1.0
-
-    def nominate(self, engine: "ShardedRetrievalEngine",
-                 shard: CorpusShard) -> np.ndarray:
-        return shard.candidate_positions(engine.candidates_per_shard)
-
-
 class IVFNominator:
     """Query-adaptive stage one: probe the shard's IVF index.
 
@@ -877,17 +842,17 @@ class IVFNominator:
         #: shard outside the index, rebuild it instead of routing the
         #: tail around it.
         self.rebuild_tail_fraction = float(rebuild_tail_fraction)
-        #: Recall of the latest probe vs the heuristic baseline, per
-        #: shard call — the quality ledger reads it after each shard.
-        self.last_recall: float | None = None
 
-    def nominate(self, engine: "ShardedRetrievalEngine",
-                 shard: CorpusShard) -> np.ndarray:
-        m = engine.candidates_per_shard
-        queries = engine._query_vectors_raw()
-        self.last_recall = None
+    def nominate(self, shard: CorpusShard, queries: np.ndarray | None,
+                 m: int | None) -> tuple[np.ndarray, float | None]:
+        """(candidate positions, their recall of the heuristic top-``m``)
+        for one shard, probed with the round's raw ``queries``.
+
+        The recall is ``None`` when the probe deferred to the heuristic
+        prefilter or the shard has no bags.
+        """
         if queries is None:
-            return shard.candidate_positions(m)
+            return shard.candidate_positions(m), None
         obs = get_telemetry()
         index = shard.ivf_index(n_cells=self.n_cells)
         if index.n_bags < shard.n_bags:
@@ -899,7 +864,7 @@ class IVFNominator:
                 index = shard.rebuild_ivf_index(n_cells=self.n_cells)
                 obs.counter("index.rebuilds").inc()
         if index.n_cells == 0 or self.nprobe >= index.n_cells:
-            return shard.candidate_positions(m)
+            return shard.candidate_positions(m), None
         with obs.span("index.probe", clip=shard.clip_id,
                       nprobe=self.nprobe, cells=index.n_cells) as sp:
             positions, stats = index.probe(queries, self.nprobe)
@@ -925,26 +890,11 @@ class IVFNominator:
         if m is not None and len(positions) > m:
             positions = positions[:m]
         baseline = shard.candidate_positions(m)
-        if len(baseline):
-            recall = float(np.isin(baseline, positions).mean())
-            self.last_recall = recall
-            obs.gauge("index.nomination_recall").set(recall)
-        return positions
-
-
-def _resolve_nominator(nominator):
-    if isinstance(nominator, str):
-        if nominator == "heuristic":
-            return HeuristicNominator()
-        if nominator == "ivf":
-            return IVFNominator()
-        raise ConfigurationError(
-            f"nominator must be 'heuristic', 'ivf', or a Nominator "
-            f"object, got {nominator!r}")
-    if not hasattr(nominator, "nominate"):
-        raise ConfigurationError(
-            f"nominator object {nominator!r} has no nominate() method")
-    return nominator
+        if not len(baseline):
+            return positions, None
+        recall = float(np.isin(baseline, positions).mean())
+        obs.gauge("index.nomination_recall").set(recall)
+        return positions, recall
 
 
 class ShardedRetrievalEngine:
@@ -958,19 +908,22 @@ class ShardedRetrievalEngine:
     heuristic Trajectory Sequences of the relevant bags, nu from Eq. 9;
     ``z``, ``kernel``, ``gamma``, ``training_policy``, ``nu_bounds``
     and ``learner`` configure it).  Until the rule is
-    fitted every bag keeps its heuristic initial score.  Scoring is
-    organized shard by shard:
+    fitted every bag keeps its heuristic initial score.  A round scores
+    each healthy shard's candidates, then one ``np.lexsort`` orders every
+    served bag; the order is cached until the next ``feed``, corpus
+    epoch or change in shard availability, and :meth:`rank_iter`,
+    :meth:`top_k` and :meth:`rank` read it.
 
     * ``candidates_per_shard=None`` scores every bag exactly.
     * ``candidates_per_shard=M`` scores only each shard's nominated
       candidates with the rule; the remaining bags keep their heuristic
       order *after* all candidates — a recall/latency knob.
-    * ``nominator`` picks stage one: ``"heuristic"`` (static top-M
-      prefilter, exact-compatible default) or ``"ivf"`` (probe each
-      shard's :class:`~repro.index.ivf.IVFIndex` near the relevant
-      bags' training instances — query-adaptive and sublinear in shard
-      size).  An :class:`IVFNominator` instance can be passed directly
-      to set ``n_cells`` / ``nprobe``.
+    * ``nominator`` picks stage one: ``"heuristic"`` (the shard's
+      top-M heuristic prefix, exact-compatible default) or ``"ivf"``
+      (probe each shard's :class:`~repro.index.ivf.IVFIndex` near the
+      relevant bags' training instances — query-adaptive and sublinear
+      in shard size).  An :class:`IVFNominator` instance can be passed
+      directly to set ``n_cells`` / ``nprobe``.
     * ``failure_policy`` makes the shard the failure domain: under
       ``"degraded"`` a shard whose storage fails is skipped for the
       round (it is quarantined on the corpus' backoff-and-reprobe
@@ -985,7 +938,7 @@ class ShardedRetrievalEngine:
         *,
         rule: Callable[..., Rule] = OneClassRule,
         candidates_per_shard: int | None = None,
-        nominator: str | HeuristicNominator | IVFNominator = "heuristic",
+        nominator: str | IVFNominator = "heuristic",
         failure_policy: str = "strict",
         **rule_kwargs,
     ) -> None:
@@ -1009,7 +962,16 @@ class ShardedRetrievalEngine:
         self.dataset = corpus
         self.corpus = corpus
         self.candidates_per_shard = candidates_per_shard
-        self.nominator = _resolve_nominator(nominator)
+        #: Stage one's IVF probe, or ``None`` for the heuristic prefix.
+        self.nominator: IVFNominator | None
+        if isinstance(nominator, IVFNominator):
+            self.nominator = nominator
+        elif nominator in ("heuristic", "ivf"):
+            self.nominator = IVFNominator() if nominator == "ivf" else None
+        else:
+            raise ConfigurationError(
+                f"nominator must be 'heuristic', 'ivf' or an IVFNominator, "
+                f"got {nominator!r}")
         #: ``strict`` (default): a failing shard raises
         #: :class:`ShardUnavailableError` out of rank/feed.
         #: ``degraded``: the round proceeds over the healthy shards and
@@ -1031,25 +993,13 @@ class ShardedRetrievalEngine:
         #: memo served without a solve (the quality ledger reads both).
         self.fit_count = 0
         self.fit_memo_hits = 0
-        # Per-round ranking state, rebuilt lazily after each feed():
-        # clip_id -> sorted [(-score, bag_id), ...] merge streams.
-        self._candidate_streams: dict[str, list[tuple[float, int]]] | None = \
-            None
-        self._leftover_streams: dict[str, list[tuple[float, int]]] | None = \
-            None
-        self._round_nominated: dict[str, np.ndarray] | None = None
+        # The cached round (see _ensure_round): served bag ids in rank
+        # order, as Python ints, and the score each was ranked by.
+        self._round: tuple[list[int], np.ndarray] | None = None
         self._training_ids: list[int] = []
-        self._round_queries: np.ndarray | None = None
         self._corpus_version = corpus.mutation_count
         self._availability_version = corpus.availability_version
         self._training_bags_skipped = 0
-        self._round_shards: list[CorpusShard] = []
-
-    def _drop_round(self) -> None:
-        """Forget the cached ranking round (merge streams, nominations)."""
-        self._candidate_streams = None
-        self._leftover_streams = None
-        self._round_nominated = None
 
     def _sync_corpus(self) -> None:
         """Catch up with live-corpus mutations (appends, recoveries).
@@ -1058,14 +1008,14 @@ class ShardedRetrievalEngine:
         population.  The corpus rebuilds its own state (scaler,
         standardized matrices, Gram caches) once per epoch for every
         engine (:meth:`ShardedCorpus.standardize`); this drops the
-        engine's: merge streams, cached query vectors and the model.
+        engine's: the cached round and the model.
         Retrain on the grown corpus when there is feedback, and the next
         round ranks the appended bags too — no session restart.
         """
         if self._corpus_version == self.corpus.mutation_count:
             return
         self._corpus_version = self.corpus.mutation_count
-        self._drop_round()
+        self._round = None
         get_telemetry().counter("sharded.corpus_syncs").inc()
         if self.labels:
             self._retrain()
@@ -1111,7 +1061,7 @@ class ShardedRetrievalEngine:
             )
         self.labels.update({int(k): bool(v) for k, v in labels.items()})
         self._retrain()
-        self._drop_round()
+        self._round = None
 
     @property
     def relevant_bag_ids(self) -> list[int]:
@@ -1192,31 +1142,24 @@ class ShardedRetrievalEngine:
         nominator's probe queries (index cells live in raw space, which
         exists before the global scaler does).  ``None`` until there is
         relevant feedback."""
-        if not self._training_ids:
-            return None
-        if self._round_queries is None:
-            rows = []
-            for i in self._training_ids:
-                try:
-                    shard = self.corpus.shard_for_instance(i)
-                except ShardUnavailableError:
-                    # Degraded: a training instance's shard died after
-                    # the model was fit.  The model itself is fine (its
-                    # support vectors are materialized); only the IVF
-                    # probe loses this query row.
-                    if self.failure_policy == "strict":
-                        raise
-                    continue
-                assert shard.matrix_raw is not None
-                rows.append(shard.matrix_raw[shard.row_of(i)])
-            if not rows:
-                return None
-            self._round_queries = np.ascontiguousarray(np.stack(rows))
-        return self._round_queries
+        rows = []
+        for i in self._training_ids:
+            try:
+                shard = self.corpus.shard_for_instance(i)
+            except ShardUnavailableError:
+                # Degraded: a training instance's shard died after the
+                # model was fit.  The model itself is fine (its support
+                # vectors are materialized); only the IVF probe loses
+                # this query row.
+                if self.failure_policy == "strict":
+                    raise
+                continue
+            assert shard.matrix_raw is not None
+            rows.append(shard.matrix_raw[shard.row_of(i)])
+        return np.ascontiguousarray(np.stack(rows)) if rows else None
 
     def _retrain(self) -> None:
         self.fitted = None
-        self._round_queries = None
         relevant = self.relevant_bag_ids
         # Relevant bags on a dead shard (degraded mode) give the rule no
         # block: Eq. 9 then counts only the bags that contributed
@@ -1281,15 +1224,15 @@ class ShardedRetrievalEngine:
         scores[keep] = np.maximum.reduceat(decisions, seg_starts)
         return scores
 
-    def _score_shard(self, shard: CorpusShard
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """(candidate positions, their scores) for one shard this round."""
-        positions = self.nominator.nominate(self, shard)
+    def _score_shard(self, shard: CorpusShard,
+                     positions: np.ndarray) -> np.ndarray:
+        """The scores of one shard's candidate ``positions`` this round:
+        the rule's once trained, the heuristic's before."""
         if not self.is_trained:
-            return positions, shard.heuristic_bags[positions]
+            return shard.heuristic_bags[positions]
         if len(positions) == shard.n_bags:
-            return positions, self._full_shard_scores(shard)[positions]
-        return positions, self._candidate_shard_scores(shard, positions)
+            return self._full_shard_scores(shard)[positions]
+        return self._candidate_shard_scores(shard, positions)
 
     def _coverage_report(self, shards: list[CorpusShard],
                          outages: list[ShardOutage]) -> CoverageReport:
@@ -1301,55 +1244,93 @@ class ShardedRetrievalEngine:
             bags_missing=sum(o.n_bags for o in outages),
             training_bags_skipped=self._training_bags_skipped)
 
-    def _ensure_round(self) -> None:
-        """Score all healthy shards for the current feedback state
-        (cached until the next ``feed``, corpus mutation, or change in
-        shard availability)."""
+    def _ensure_round(self) -> tuple[list[int], np.ndarray]:
+        """The round for the current feedback state: the served bag ids
+        in rank order and the score each was ranked by.
+
+        Cached until the next ``feed``, corpus epoch or change in shard
+        availability; ``last_coverage`` is refreshed on every call.
+        """
         shards, outages = self._probe_shards()
         self._sync_corpus()
         if self._availability_version != self.corpus.availability_version:
             # A shard died or rejoined since the cached round: the
-            # cached merge streams cover the wrong shard set.
+            # cached order covers the wrong shard set.
             self._availability_version = self.corpus.availability_version
-            self._drop_round()
-        if self._candidate_streams is not None:
-            self.last_coverage = self._coverage_report(shards, outages)
-            return
+            self._round = None
+        coverage = self._coverage_report(shards, outages)
+        if self._round is None:
+            self._round = self._score_round(shards)
+            obs = get_telemetry()
+            bags_total = len(self.corpus)
+            obs.gauge("query.coverage_fraction").set(
+                (bags_total - coverage.bags_missing) / bags_total)
+            if outages:
+                obs.counter("sharded.degraded_rounds").inc()
+                obs.event(
+                    "sharded.degraded_round", level="warning",
+                    served=len(shards), skipped=len(outages),
+                    missing_bags=coverage.bags_missing,
+                    clips=",".join(o.clip_id for o in outages))
+        self.last_coverage = coverage
+        return self._round
+
+    def _score_round(self, shards: list[CorpusShard]
+                     ) -> tuple[list[int], np.ndarray]:
+        """Score the healthy ``shards`` and order every bag they serve.
+
+        Stage one nominates each shard's candidates and the rule scores
+        them; the pruned bags keep their heuristic scores.  One lexsort
+        then puts every candidate first, by score descending, and the
+        pruned bags after them, by heuristic score descending; bag ids
+        break ties.  Also records :attr:`last_round_stats`.
+        """
         obs = get_telemetry()
-        streams: dict[str, list[tuple[float, int]]] = {}
-        nominated: dict[str, np.ndarray] = {}
+        m = self.candidates_per_shard
+        nominator = ("heuristic" if self.nominator is None
+                     else self.nominator.name)
+        n_served = sum(shard.n_bags for shard in shards)
+        ids = np.empty(n_served, dtype=np.intp)
+        scores = np.empty(n_served)
+        pruned = np.ones(n_served, dtype=bool)
         shard_stats: list[dict] = []
-        total_scored = total_pruned = 0
+        start = total_scored = 0
         with obs.span("sharded.rank", shards=len(self.corpus.specs),
-                      trained=self.is_trained,
-                      nominator=getattr(self.nominator, "name", "custom"),
-                      candidates_per_shard=self.candidates_per_shard
-                      or 0) as sp:
+                      trained=self.is_trained, nominator=nominator,
+                      candidates_per_shard=m or 0) as sp:
+            queries = (None if self.nominator is None
+                       else self._query_vectors_raw())
             for shard in shards:
                 with obs.span("sharded.shard.score",
                               clip=shard.clip_id,
                               n_bags=shard.n_bags) as shard_sp:
-                    # Held across nominate + the rule's scoring: the
+                    # Held across nomination + the rule's scoring: the
                     # One-class SVM rule fills and reads the shard's
                     # GramCache, which has no internal locking, and the
                     # fill/read pair must be atomic when concurrent
                     # sessions share this shard's cache.
                     with shard.lock:
-                        positions, scores = self._score_shard(shard)
+                        if self.nominator is None:
+                            positions = shard.candidate_positions(m)
+                            recall = 1.0
+                        else:
+                            positions, recall = self.nominator.nominate(
+                                shard, queries, m)
+                        candidate_scores = self._score_shard(shard,
+                                                             positions)
                     n_candidates = len(positions)
                     n_pruned = shard.n_bags - n_candidates
                     if shard_sp is not None:
                         shard_sp.set(candidates=n_candidates,
                                      pruned=n_pruned)
-                nominated[shard.clip_id] = positions
-                bag_ids = shard.bag_offset + positions
-                order = np.lexsort((bag_ids, -scores))
-                streams[shard.clip_id] = [
-                    (-float(scores[i]), int(bag_ids[i])) for i in order
-                ]
+                end = start + shard.n_bags
+                ids[start:end] = np.arange(shard.bag_offset,
+                                           shard.bag_offset + shard.n_bags)
+                scores[start:end] = shard.heuristic_bags
+                scores[start + positions] = candidate_scores
+                pruned[start + positions] = False
+                start = end
                 total_scored += n_candidates
-                total_pruned += n_pruned
-                recall = getattr(self.nominator, "last_recall", None)
                 shard_stats.append({
                     "clip_id": shard.clip_id,
                     "n_bags": shard.n_bags,
@@ -1363,17 +1344,15 @@ class ShardedRetrievalEngine:
                     n_candidates)
                 if n_pruned:
                     obs.counter("sharded.bags_pruned").inc(n_pruned)
-                finite = scores[np.isfinite(scores)]
+                finite = candidate_scores[np.isfinite(candidate_scores)]
                 if finite.size:
                     obs.histogram("sharded.shard.score_span").observe(
                         float(finite.max() - finite.min()))
+            total_pruned = n_served - total_scored
             obs.counter("sharded.bags_scored").inc(total_scored)
             if sp is not None:
                 sp.set(scored=total_scored, pruned=total_pruned)
-        self._candidate_streams = streams
-        self._round_nominated = nominated
-        self._round_shards = shards
-        self.last_coverage = self._coverage_report(shards, outages)
+            order = np.lexsort((ids, -scores, pruned))
         bags_total = len(self.corpus)
         recalls = [s["nomination_recall"] for s in shard_stats
                    if s["nomination_recall"] is not None]
@@ -1382,65 +1361,24 @@ class ShardedRetrievalEngine:
             "bags_total": bags_total,
             "bags_scored": total_scored,
             "bags_pruned": total_pruned,
-            "bags_scanned_fraction": (total_scored / bags_total
-                                      if bags_total else 1.0),
+            "bags_scanned_fraction": total_scored / bags_total,
             "nomination_recall": (float(np.mean(recalls))
                                   if recalls else None),
-            "nominator": getattr(self.nominator, "name", "custom"),
+            "nominator": nominator,
             "trained": self.is_trained,
         }
-        coverage_fraction = (
-            (bags_total - self.last_coverage.bags_missing) / bags_total
-            if bags_total else 1.0)
-        obs.gauge("query.coverage_fraction").set(coverage_fraction)
-        if outages:
-            obs.counter("sharded.degraded_rounds").inc()
-            obs.event(
-                "sharded.degraded_round", level="warning",
-                served=len(shards), skipped=len(outages),
-                missing_bags=self.last_coverage.bags_missing,
-                clips=",".join(o.clip_id for o in outages))
-
-    def _ensure_leftovers(self) -> None:
-        """Heuristic-ordered streams of the bags stage one pruned."""
-        if self._leftover_streams is not None:
-            return
-        self._ensure_round()
-        assert self._round_nominated is not None
-        streams: dict[str, list[tuple[float, int]]] = {}
-        for shard in self._round_shards:
-            positions = self._round_nominated[shard.clip_id]
-            if len(positions) == shard.n_bags:
-                continue
-            pruned = np.ones(shard.n_bags, dtype=bool)
-            pruned[positions] = False
-            order = shard.heuristic_order
-            # heuristic_order is already (score desc, bag id asc), so
-            # its pruned subsequence is a ready-sorted merge stream.
-            streams[shard.clip_id] = [
-                (-float(shard.heuristic_bags[p]),
-                 int(shard.bag_offset + p))
-                for p in order[pruned[order]]
-            ]
-        self._leftover_streams = streams
+        return ids[order].tolist(), scores[order]
 
     # -- ranking ----------------------------------------------------------
     def rank_iter(self) -> Iterator[int]:
-        """Bag ids in descending relevance, lazily merged across shards.
+        """Bag ids in descending relevance, from one cached round.
 
         All exactly-scored candidates come first (global score order,
-        ties by bag id); pruned bags follow in heuristic order.  Only
-        the consumed prefix of the merge is materialized, so
-        ``top_k(20)`` over a large corpus never sorts it globally.
+        ties by bag id); pruned bags follow in heuristic order.  A walk
+        yields exactly the round it started on: a feed or a shard
+        outage or recovery mid-walk takes effect on the next call.
         """
-        self._ensure_round()
-        assert self._candidate_streams is not None
-        for _, bag_id in heapq.merge(*self._candidate_streams.values()):
-            yield bag_id
-        self._ensure_leftovers()
-        assert self._leftover_streams is not None
-        for _, bag_id in heapq.merge(*self._leftover_streams.values()):
-            yield bag_id
+        yield from self._ensure_round()[0]
 
     def rank(self) -> list[int]:
         """Bag ids in descending relevance (ties broken by bag id)."""
@@ -1449,7 +1387,7 @@ class ShardedRetrievalEngine:
     def top_k(self, k: int) -> list[int]:
         if k <= 0:
             raise ConfigurationError(f"k must be positive, got {k}")
-        return list(islice(self.rank_iter(), k))
+        return self._ensure_round()[0][:k]
 
     # -- per-bag and per-instance views ------------------------------------
     def _instance_values(self, shard: CorpusShard) -> np.ndarray:

@@ -862,13 +862,27 @@ class VideoDatabase:
             for r in self._conn.execute(sql, params)
         ]
 
+    def latest_labels(self, clip_id: str, event_name: str,
+                      user_id: str) -> tuple[dict[int, bool], int]:
+        """Latest label per bag for one user (later rounds win), and the
+        next round the history expects (0 when it is empty).
+
+        One statement, so both come from one snapshot: a round another
+        worker commits cannot land between the labels and the round.
+        SQLite takes the bare ``relevant`` column from the row holding
+        each bag's ``MAX(round_index)``.
+        """
+        rows = self._conn.execute(
+            "SELECT bag_id, relevant, MAX(round_index) FROM labels"
+            " WHERE clip_id=? AND event=? AND user_id=? GROUP BY bag_id",
+            (clip_id, event_name, user_id)).fetchall()
+        latest = {bag_id: bool(relevant) for bag_id, relevant, _ in rows}
+        return latest, max((r[2] for r in rows), default=-1) + 1
+
     def accumulated_labels(self, clip_id: str, event_name: str,
                            user_id: str) -> dict[int, bool]:
         """Latest label per bag for one user (later rounds win)."""
-        out: dict[int, bool] = {}
-        for rec in self.labels(clip_id, event_name, user_id):
-            out[rec.bag_id] = rec.relevant
-        return out
+        return self.latest_labels(clip_id, event_name, user_id)[0]
 
     # ---------------------------------------------------------- sessions
     def register_session(self, record: SessionRecord) -> None:

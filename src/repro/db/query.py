@@ -173,17 +173,17 @@ class _QuerySessionBase:
         """Feed the stored label history into ``engine``; return the
         next round index the history expects.
 
-        One read serves both: rows come in (round, bag) order, so the
-        last row holds the latest round and, as in
-        :meth:`~repro.db.database.VideoDatabase.accumulated_labels`,
-        later rounds overwrite a bag's earlier label.
+        One statement reads both
+        (:meth:`~repro.db.database.VideoDatabase.latest_labels`), so they
+        come from one snapshot: with two reads, a round another worker
+        committed between them would let the round guard pass on an
+        engine that never saw that round's labels.
         """
-        history = self.db.labels(self.corpus_id, self.event_name,
-                                 self.user_id)
-        if not history:
-            return 0
-        engine.feed({rec.bag_id: rec.relevant for rec in history})
-        return history[-1].round_index + 1
+        labels, next_round = self.db.latest_labels(
+            self.corpus_id, self.event_name, self.user_id)
+        if labels:
+            engine.feed(labels)
+        return next_round
 
     def resync(self) -> int:
         """Rebuild the engine from the stored label history.
@@ -463,8 +463,8 @@ class MultiClipQuerySession(_QuerySessionBase):
     the session absorbs bags a streaming ingest appended before its
     replay and before every round.  ``engine`` names the learning rule
     (:data:`ENGINE_FACTORIES`); ``engine_kwargs`` configure the engine
-    and its rule.  Shards load lazily, each ranking round merges
-    per-shard rankings, and ``candidates_per_shard=M`` caps how many
+    and its rule.  Shards load lazily, each ranking round sorts every
+    served bag once, and ``candidates_per_shard=M`` caps how many
     bags per shard the learning rule scores exactly (the rest keep their
     cheap heuristic order after all candidates — a recall/latency knob).
     With ``candidates_per_shard=None`` the ranking matches the engine

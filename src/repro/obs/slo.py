@@ -2,10 +2,11 @@
 
 An objective is a declared, checkable promise about the interactive
 loop — "p99 round latency under 500 ms", "at least 95% corpus coverage",
-"ingest lag under 500 frames" — evaluated straight from the metric
-registry: latency quantiles are bucket-interpolated from histogram
-counts (:func:`~repro.obs.metrics.bucket_quantile`), coverage and
-freshness read gauges.  Evaluation also feeds the registry back:
+"ingest lag under 500 frames" — evaluated from a snapshot of the
+metric registry, taken live or persisted in a run summary: latency
+quantiles are bucket-interpolated from histogram counts
+(:func:`~repro.obs.metrics.bucket_quantile`), coverage and freshness
+read gauges.  Live evaluation also feeds the registry back:
 ``slo.attainment`` / ``slo.burn_rate`` gauges and an ``slo.breaches``
 counter per objective, so the live ``/metrics`` endpoint exposes SLO
 health without a separate pipeline.
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import Histogram, bucket_quantile
+from repro.obs.metrics import bucket_quantile
 
 __all__ = ["SLObjective", "SLOStatus", "DEFAULT_SLOS", "evaluate_slos",
            "evaluate_slos_from_summary", "render_slos"]
@@ -99,14 +100,6 @@ DEFAULT_SLOS: tuple[SLObjective, ...] = (
 )
 
 
-def _unlabelled_value(metric) -> tuple[float, int]:
-    """Value and sample-count of the ``{}`` series, without creating it."""
-    for labels, payload in metric.series():
-        if not labels:
-            return float(payload.value), 1
-    return math.nan, 0
-
-
 def _bad_over_threshold(bounds, cumulative, total: int,
                         threshold: float) -> float:
     """Estimate observations over ``threshold`` by interpolating the
@@ -124,26 +117,6 @@ def _bad_over_threshold(bounds, cumulative, total: int,
     else:
         below = float(cumulative[-1]) if cumulative else 0.0
     return max(0.0, total - below)
-
-
-def _histogram_stats(metric: Histogram, slo: SLObjective):
-    """(quantile, total, bad-count-over-threshold) across all series."""
-    bounds = metric.buckets
-    merged = [0] * (len(bounds) + 1)
-    total = 0
-    for _, payload in metric.series():
-        total += payload.count
-        for i, n in enumerate(payload.counts):
-            merged[i] += n
-    if total == 0:
-        return math.nan, 0, 0
-    cumulative, running = [], 0
-    for n in merged[:-1]:
-        running += n
-        cumulative.append(running)
-    measured = bucket_quantile(bounds, cumulative, total, slo.quantile)
-    bad = _bad_over_threshold(bounds, cumulative, total, slo.threshold)
-    return measured, total, bad
 
 
 def _judge(slo: SLObjective, measured: float, samples: int,
@@ -170,29 +143,27 @@ def evaluate_slos(telemetry, slos=DEFAULT_SLOS,
                   *, record: bool = True) -> list[SLOStatus]:
     """Evaluate every objective against a live registry.
 
-    With ``record=True`` (the default) attainment/burn gauges and the
-    breach counter are updated so exporters publish SLO health.
-    Objectives whose metric has no samples yet evaluate as *met* with
-    ``samples == 0`` — an idle system has not broken any promise.
+    The registry's snapshot is judged as a persisted summary would be
+    (:func:`evaluate_slos_from_summary`).  With ``record=True`` (the
+    default) attainment/burn gauges and the breach counter are updated
+    so exporters publish SLO health.  Objectives whose metric has no
+    samples yet evaluate as *met* with ``samples == 0`` — an idle system
+    has not broken any promise.
     """
-    statuses: list[SLOStatus] = []
-    for slo in slos:
-        metric = telemetry._metrics.get(slo.metric)
-        measured, samples, bad = math.nan, 0, 0.0
-        if isinstance(metric, Histogram) and slo.kind == "quantile_below":
-            measured, samples, bad = _histogram_stats(metric, slo)
-        elif metric is not None and slo.kind != "quantile_below":
-            measured, samples = _unlabelled_value(metric)
-        status = _judge(slo, measured, samples, bad)
-        statuses.append(status)
-        if status.samples and record and telemetry.enabled:
-            telemetry.gauge("slo.attainment").set(
-                status.measured, slo=slo.name)
-            telemetry.gauge("slo.burn_rate").set(
-                status.burn_rate if math.isfinite(status.burn_rate)
-                else -1.0, slo=slo.name)
-            if not status.met:
-                telemetry.counter("slo.breaches").inc(slo=slo.name)
+    statuses = evaluate_slos_from_summary(
+        {"metrics": telemetry.metrics_snapshot()}, slos)
+    if not (record and telemetry.enabled):
+        return statuses
+    for status in statuses:
+        if not status.samples:
+            continue
+        telemetry.gauge("slo.attainment").set(
+            status.measured, slo=status.name)
+        telemetry.gauge("slo.burn_rate").set(
+            status.burn_rate if math.isfinite(status.burn_rate)
+            else -1.0, slo=status.name)
+        if not status.met:
+            telemetry.counter("slo.breaches").inc(slo=status.name)
     return statuses
 
 

@@ -7,8 +7,12 @@ tie-break.  The rest pins the shard mechanics — lazy loading, spec
 validation, feed atomicity, pruning semantics, Gram-cache reuse.
 """
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import MILRetrievalEngine, merge_datasets
 from repro.core.bags import Bag, Instance, MILDataset
@@ -19,7 +23,7 @@ from repro.core.sharded import (
     ShardedCorpus,
     ShardedRetrievalEngine,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, StorageError
 
 
 def _clip(clip_id, n_bags, seed, *, spike_every=3, empty_every=None,
@@ -228,6 +232,108 @@ class TestPrunedRanking:
         assert set(ranking[-len(empty):]) == empty
 
 
+def _merged_order(parts):
+    """The order a round had when each shard fed a k-way merge.
+
+    Each served shard gave one stream of its candidates, lexsorted into
+    ``(-score, bag id)`` tuples, and one of its pruned bags in heuristic
+    order; ``heapq.merge`` walked every candidate stream, then every
+    pruned one.  ``parts`` holds ``(shard, candidate positions, their
+    scores)`` per served shard, in spec order.
+    """
+    candidates, leftovers = [], []
+    for shard, positions, scores in parts:
+        bag_ids = shard.bag_offset + positions
+        order = np.lexsort((bag_ids, -scores))
+        candidates.append([(-float(scores[i]), int(bag_ids[i]))
+                           for i in order])
+        if len(positions) == shard.n_bags:
+            continue
+        pruned = np.ones(shard.n_bags, dtype=bool)
+        pruned[positions] = False
+        order = shard.heuristic_order
+        leftovers.append([
+            (-float(shard.heuristic_bags[p]), int(shard.bag_offset + p))
+            for p in order[pruned[order]]])
+    return ([bag_id for _, bag_id in heapq.merge(*candidates)]
+            + [bag_id for _, bag_id in heapq.merge(*leftovers)])
+
+
+#: Scores with ties, an empty bag's -inf, and 0.0 beside -0.0.
+_SCORES = st.one_of(st.sampled_from([1.0, 0.5, 0.0, -0.0, -np.inf]),
+                    st.floats(-3.0, 3.0))
+
+
+def _offline_loader():
+    raise StorageError("offline")
+
+
+class TestOneSortRound:
+    """A round's one lexsort orders every served bag exactly as the
+    per-shard streams and merge passes did (:func:`_merged_order`)."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_order_equals_the_per_shard_merge(self, data):
+        draw = data.draw
+        datasets, offline = [], []
+        for s in range(draw(st.integers(1, 4), label="shards")):
+            datasets.append(_clip(
+                f"s{s}", draw(st.integers(0, 5)), seed=s,
+                empty_every=draw(st.sampled_from([None, 2, 3]))))
+            offline.append(draw(st.booleans()))
+        assume(any(d.n_instances for d in datasets))
+        specs = [
+            ShardSpec(clip_id=d.clip_id, n_bags=len(d.bags),
+                      n_instances=d.n_instances,
+                      loader=_offline_loader if off else (lambda d=d: d))
+            for d, off in zip(datasets, offline)]
+        corpus = ShardedCorpus(specs, corpus_id="merged:test")
+        engine = ShardedRetrievalEngine(corpus, failure_policy="degraded")
+        synthetic = draw(st.booleans(), label="synthetic scores")
+        served, drawn = [], {}
+        for d, off in zip(datasets, offline):
+            if off:
+                continue
+            shard = corpus.shard(d.clip_id)
+            served.append(shard)
+            n = shard.n_bags
+            heuristic = draw(st.lists(_SCORES, min_size=n, max_size=n))
+            shard.set_initial_scores(np.array(heuristic, dtype=float), dict(
+                zip(range(shard.instance_offset,
+                          shard.instance_offset + shard.n_instances),
+                    shard.heuristic_instances)))
+            keep = draw(st.permutations(range(n)))[
+                :draw(st.integers(0, n))]
+            shard.candidate_positions = (
+                lambda m, p=np.array(keep, dtype=np.intp): p)
+            drawn[d.clip_id] = np.array(
+                draw(st.lists(_SCORES, min_size=n, max_size=n)), dtype=float)
+        parts = []
+        score_shard = engine._score_shard
+
+        def spy(shard, positions):
+            scores = (drawn[shard.clip_id][positions] if synthetic
+                      else score_shard(shard, positions))
+            parts.append((shard, positions, scores))
+            return scores
+
+        engine._score_shard = spy
+        relevant = [shard.bag_offset + b for shard in served
+                    for b, bag in enumerate(shard.dataset.bags)
+                    if bag.instances]
+        for trained in (False, True):
+            if trained:
+                engine.feed({relevant[0]: True} if relevant else {0: False})
+                assert engine.is_trained == bool(relevant)
+            parts.clear()
+            ranking = engine.rank()
+            assert ranking == _merged_order(parts)
+            assert all(type(b) is int for b in ranking)
+            assert engine.top_k(3) == ranking[:3]
+            assert list(engine.rank_iter()) == ranking
+
+
 class TestNominators:
     def _fed_pair(self, datasets, *, m=6, n_cells=8, nprobe=8,
                   rounds=2, top_k=10):
@@ -265,19 +371,16 @@ class TestNominators:
         ranking = ivf.rank()
         assert sorted(ranking) == list(
             range(sum(len(d.bags) for d in three_clips)))
-        nominated = ivf._round_nominated
-        assert nominated is not None
+        # The round ranks its candidates first.
+        nominated = ranking[:ivf.last_round_stats["bags_scored"]]
+        queries = ivf._query_vectors_raw()
+        candidate_ids = set()
         for shard in ivf.corpus.shards():
-            positions = nominated[shard.clip_id]
+            positions, _ = ivf.nominator.nominate(shard, queries, m)
             assert len(positions) <= m
             assert len(np.unique(positions)) == len(positions)
-        n_candidates = sum(len(p) for p in nominated.values())
-        candidate_ids = {
-            int(shard.bag_offset + p)
-            for shard in ivf.corpus.shards()
-            for p in nominated[shard.clip_id]
-        }
-        assert set(ranking[:n_candidates]) == candidate_ids
+            candidate_ids |= {int(shard.bag_offset + p) for p in positions}
+        assert set(nominated) == candidate_ids
 
     def test_partial_probe_recalls_exact_top_20(self):
         """Eight spiked clips, two oracle rounds: probing 2 of 16 cells
@@ -317,7 +420,7 @@ class TestNominators:
         corpus = _corpus(three_clips)
         with pytest.raises(ConfigurationError, match="nominator"):
             ShardedRetrievalEngine(corpus, nominator="faiss")
-        with pytest.raises(ConfigurationError, match="nominate"):
+        with pytest.raises(ConfigurationError, match="nominator must be"):
             ShardedRetrievalEngine(corpus, nominator=object())
         with pytest.raises(ConfigurationError, match="nprobe"):
             IVFNominator(nprobe=0)
@@ -328,9 +431,9 @@ class TestNominators:
 class TestCandidateMemoization:
     def test_candidate_positions_cached_per_m(self, three_clips):
         shard = _corpus(three_clips).shard("a")
-        first = shard.candidate_positions(4)
+        shard.candidate_positions(4)
         assert shard.heuristic_order_computes == 1
-        assert shard.candidate_positions(4) is first
+        shard.candidate_positions(4)
         shard.candidate_positions(2)
         shard.candidate_positions(None)
         assert shard.heuristic_order_computes == 1

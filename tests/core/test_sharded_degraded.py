@@ -9,6 +9,8 @@ once its loader heals.  Under ``"strict"`` (the default, and therefore
 the zero-fault behavior) the typed error propagates.
 """
 
+from itertools import islice
+
 import pytest
 
 from repro.core.sharded import (
@@ -241,6 +243,26 @@ class TestDegradedRounds:
         corpus2, _, _ = _flaky_corpus(clips)
         fresh = self._fed(corpus2, labels={0: True, 20: True})
         assert ranking == fresh.rank()
+
+    def test_walk_yields_the_round_it_started_on(self, clips):
+        """Regression: a ranking walk that outlived a shard's recovery
+        spliced two rounds.  It yielded 28 of the 30 bags, never the
+        recovered shard's two candidates, and reported full coverage."""
+        corpus, loaders, clock = _flaky_corpus(clips)
+        loaders["b"].fail = True
+        engine = self._fed(corpus, candidates_per_shard=2,
+                           failure_policy="degraded")
+        walk = engine.rank_iter()
+        walked = list(islice(walk, 4))
+        loaders["b"].fail = False
+        clock.advance(2.0)  # past b's reprobe deadline
+        walked += list(walk)
+        served = _bag_range(corpus, "a") | _bag_range(corpus, "c")
+        assert len(walked) == len(served) == 22
+        assert set(walked) == served
+        assert engine.last_coverage.degraded
+        assert sorted(engine.rank()) == list(range(30))
+        assert not engine.last_coverage.degraded
 
     def test_relevant_bag_on_dead_shard_skipped_from_training(self, clips):
         corpus, loaders, _ = _flaky_corpus(clips)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bags import MILDataset
 from repro.db import ClipRecord, LabelRecord, VideoDatabase
@@ -139,6 +141,36 @@ class TestLabels:
         ])
         acc = db.accumulated_labels(small_tunnel.name, "accident", "carol")
         assert acc[5] is True
+
+
+#: Histories over two corpora and three tenants, with bags relabelled
+#: across rounds (a repeated (bag, round) replaces the stored label).
+_HISTORY = st.lists(st.builds(
+    LabelRecord, clip_id=st.sampled_from(["c", "merged:c+d"]),
+    event_name=st.just("accident"), bag_id=st.integers(0, 6),
+    user_id=st.sampled_from(["u1", "u2", "u3"]),
+    round_index=st.integers(0, 4), relevant=st.booleans()), max_size=40)
+
+
+class TestLatestLabels:
+    @settings(max_examples=80, deadline=None)
+    @given(history=_HISTORY)
+    def test_equals_the_fold_over_labels(self, history):
+        """The one-statement read returns what folding every stored row
+        of ``labels()`` in order gives: each bag's label from its latest
+        round, and that round + 1 over all bags (0 with no rows)."""
+        with VideoDatabase() as db:
+            db.add_labels(history)
+            for clip_id in ("c", "merged:c+d"):
+                for user_id in ("u1", "u2", "u3", "nobody"):
+                    fold, next_round = {}, 0
+                    for rec in db.labels(clip_id, "accident", user_id):
+                        fold[rec.bag_id] = rec.relevant
+                        next_round = rec.round_index + 1
+                    assert db.latest_labels(clip_id, "accident",
+                                            user_id) == (fold, next_round)
+                    assert db.accumulated_labels(
+                        clip_id, "accident", user_id) == fold
 
 
 class TestFilePersistence:

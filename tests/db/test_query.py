@@ -86,15 +86,15 @@ class TestSemanticQuerySession:
 
 
 class TestResumeReadsHistoryOnce:
-    """Resume and resync read the stored label history in one query:
+    """Resume and resync read the stored label history in one statement:
     the latest label per bag and the next round come from the same
-    rows (they used to be read twice, through ``accumulated_labels``
-    and ``labels``)."""
+    snapshot (they used to be read twice, through ``accumulated_labels``
+    and ``labels``, then folded from every stored row)."""
 
     @staticmethod
     def _count_reads(monkeypatch, db):
         calls = []
-        for method in ("labels", "accumulated_labels"):
+        for method in ("labels", "accumulated_labels", "latest_labels"):
             original = getattr(db, method)
 
             def counting(*args, _method=method, _original=original,
@@ -117,14 +117,14 @@ class TestResumeReadsHistoryOnce:
         calls = self._count_reads(monkeypatch, db)
         resumed = SemanticQuerySession(db, small_tunnel.name, "accident",
                                        user_id="once", top_k=8)
-        assert calls == ["labels"]
+        assert calls == ["latest_labels"]
         assert resumed.round_index == first.round_index == 2
         assert resumed.engine.labels == db.accumulated_labels(
             small_tunnel.name, "accident", "once")
         assert resumed.results() == first.results()
         calls.clear()
         assert resumed.resync() == 2
-        assert calls == ["labels"]
+        assert calls == ["latest_labels"]
 
 
 class TestFeedStateConsistency:
@@ -223,7 +223,7 @@ class TestFailedLabelWrite:
                                                  monkeypatch):
         session, _, fresh = self._failed_feed(stored_tunnel, monkeypatch)
         db, _, _ = stored_tunnel
-        self._fail_once(monkeypatch, db, "labels")
+        self._fail_once(monkeypatch, db, "latest_labels")
         with pytest.raises(DatabaseBusyError):
             session.results()
         assert session.results() == fresh.results()

@@ -89,19 +89,16 @@ SHARD_LOAD_SQL = "track_id FROM instances"
 def _scores(engine, ids) -> list[float]:
     """The scores ``engine`` ranked ``ids`` by this round.
 
-    Read from the engine's per-shard merge streams when it has them
-    (exact scores for nominated bags, heuristic ones for pruned bags),
-    otherwise from its bag-aligned ``bag_scores()``.
+    Read from the engine's cached round when it has one (exact scores
+    for nominated bags, heuristic ones for pruned bags), otherwise from
+    its bag-aligned ``bag_scores()``.
     """
-    streams = getattr(engine, "_candidate_streams", None)
-    if streams is None:
+    ranked = getattr(engine, "_round", None)
+    if ranked is None:
         scores = engine.bag_scores()
         position = {b.bag_id: i for i, b in enumerate(engine.dataset.bags)}
         return [float(scores[position[b]]) for b in ids]
-    table = {}
-    for group in (streams, engine._leftover_streams or {}):
-        for stream in group.values():
-            table.update((bag_id, -neg) for neg, bag_id in stream)
+    table = dict(zip(*ranked))
     return [float(table[b]) for b in ids]
 
 

@@ -59,9 +59,10 @@ def grow(corpus, bags, n_new, *, seed=0, n_inst=2):
 
 
 def nominated_positions(engine):
-    engine.rank()
-    assert engine._round_nominated is not None
-    return set(int(p) for p in engine._round_nominated["clip"])
+    """The round's candidates: it ranks them first, and the one shard's
+    positions are its bag ids."""
+    ranking = engine.rank()
+    return set(ranking[:engine.last_round_stats["bags_scored"]])
 
 
 @pytest.fixture()

@@ -139,11 +139,12 @@ class TestEvaluateFromSummary:
         summary = run_summary(t)
         persisted = {s.name: s for s in evaluate_slos_from_summary(summary)}
         for name, st in live.items():
-            assert persisted[name].met == st.met
-            assert persisted[name].samples == st.samples
-            if st.samples:
-                assert persisted[name].burn_rate == \
-                    pytest.approx(st.burn_rate)
+            got = persisted[name]
+            assert got.met == st.met
+            assert got.samples == st.samples
+            assert got.burn_rate == st.burn_rate
+            assert got.measured == st.measured or (
+                math.isnan(got.measured) and math.isnan(st.measured))
 
     def test_empty_summary(self):
         statuses = evaluate_slos_from_summary({"metrics": []})

@@ -16,23 +16,61 @@ from repro.errors import NotFittedError, PipelineError
 from repro.utils import check_in_range, check_positive
 from repro.vision.frames import FrameReader
 
-__all__ = ["BackgroundModel", "GaussianBackgroundModel"]
+__all__ = ["BackgroundModel", "GaussianBackgroundModel",
+           "bootstrap_indices"]
 
 
-def _bootstrap_sample(clip, count: int) -> np.ndarray:
-    """A uniform sample of ``count`` frames (all, if fewer) as float32.
+def bootstrap_indices(n_frames: int, count: int) -> list[int]:
+    """The frame indices a median bootstrap samples: ``count`` spread
+    uniformly over ``n_frames`` frames (all of them, if fewer)."""
+    if n_frames == 0:
+        raise PipelineError("cannot learn a background from 0 frames")
+    spread = np.linspace(0, n_frames - 1, min(count, n_frames)).round()
+    return spread.astype(int).tolist()
 
-    ``clip`` is a :class:`~repro.vision.frames.VideoClip` or any indexable
-    frames.  A clip's sample renders on this thread and one helper thread
+
+def _bootstrap_sample(clip, count: int) -> tuple[np.ndarray, tuple]:
+    """The frames at :func:`bootstrap_indices`, pixel-major, as float32.
+
+    Returns the sample, whose row ``p`` holds pixel ``p`` of every sampled
+    frame, and the frame shape.  ``clip`` is a
+    :class:`~repro.vision.frames.VideoClip` or any indexable frames.  A
+    clip's sample renders on this thread and one helper thread
     (:class:`~repro.vision.frames.FrameReader`), joined before this
     returns.
     """
-    n = len(clip)
-    if n == 0:
-        raise PipelineError("cannot learn a background from 0 frames")
-    indices = np.linspace(0, n - 1, min(count, n)).round().astype(int)
+    indices = bootstrap_indices(len(clip), count)
+    sample = shape = None
     with FrameReader(clip, indices) as frames:
-        return np.stack([np.asarray(f, dtype=np.float32) for f in frames])
+        for j, frame in enumerate(frames):
+            frame = np.asarray(frame)
+            if sample is None:
+                shape = frame.shape
+                sample = np.empty((frame.size, len(indices)), np.float32)
+            elif frame.shape != shape:
+                raise PipelineError(
+                    f"frame {indices[j]} shape {frame.shape} differs from "
+                    f"earlier frames {shape}")
+            sample[:, j] = frame.reshape(-1)
+    return sample, shape
+
+
+def _median(sample: np.ndarray) -> np.ndarray:
+    """``np.median(sample, axis=1)`` of a pixel-major float32 sample,
+    bit for bit, partitioning ``sample`` in place.
+
+    ``np.median`` also partitions each row's largest value to its end, to
+    find NaNs; that second order statistic costs several times the
+    first.  A NaN sorts after every number, so a row holding one holds
+    it at or after the upper middle position, and only those values are
+    searched.
+    """
+    k = sample.shape[1]
+    lo, hi = (k - 1) // 2, k // 2   # equal for odd k
+    sample.partition(list(range(lo, hi + 1)), axis=1)
+    median = np.mean(sample[:, lo:hi + 1], axis=1)
+    np.copyto(median, np.nan, where=np.isnan(sample[:, hi:]).any(axis=1))
+    return median
 
 
 class BackgroundModel:
@@ -70,8 +108,8 @@ class BackgroundModel:
         per-pixel median, which is robust to vehicles passing through as
         long as no pixel is occupied in more than half the sample.
         """
-        sample = _bootstrap_sample(clip, self.bootstrap_frames)
-        self.background = np.median(sample, axis=0)
+        sample, shape = _bootstrap_sample(clip, self.bootstrap_frames)
+        self.background = _median(sample).reshape(shape)
         return self
 
     def set_background(self, background: np.ndarray) -> "BackgroundModel":
@@ -155,12 +193,13 @@ class GaussianBackgroundModel:
 
     def learn(self, clip) -> "GaussianBackgroundModel":
         """Bootstrap mean and variance from a uniform frame sample."""
-        sample = _bootstrap_sample(clip, self.bootstrap_frames)
+        sample, shape = _bootstrap_sample(clip, self.bootstrap_frames)
         # Median/MAD estimators: robust to vehicles inside the sample.
-        self.mean = np.median(sample, axis=0)
-        mad = np.median(np.abs(sample - self.mean), axis=0)
-        std = np.maximum(1.4826 * mad, self.MIN_STD)
-        self.var = (std * std).astype(np.float32)
+        mean = _median(sample)
+        np.abs(np.subtract(sample, mean[:, None], out=sample), out=sample)
+        std = np.maximum(1.4826 * _median(sample), self.MIN_STD)
+        self.mean = mean.reshape(shape)
+        self.var = (std * std).astype(np.float32).reshape(shape)
         return self
 
     def _check(self, frame: np.ndarray) -> np.ndarray:

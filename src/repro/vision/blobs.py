@@ -101,23 +101,32 @@ def extract_blobs(mask: np.ndarray, frame: np.ndarray | None = None,
                   max_area: int | None = None) -> list[Blob]:
     """Connected components of ``mask`` as :class:`Blob` records.
 
-    ``frame`` (if given) supplies the mean intensity per blob; components
-    outside [min_area, max_area] are discarded as noise / lighting
-    artifacts.
+    ``frame`` (if given, the mask's shape) supplies the mean intensity
+    per blob; components outside [min_area, max_area] are discarded as
+    noise / lighting artifacts.
+
+    Only the bounding box of the foreground is labelled.  The blobs are
+    those of labelling the whole mask, in the same order: a crop keeps
+    every component whole, and ``ndimage.label`` numbers components in
+    the raster order of their first pixels, which the crop keeps too.
     """
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise PipelineError(f"mask must be 2-D, got shape {mask.shape}")
     if frame is not None:
         frame = np.asarray(frame)
-    labels, n = ndimage.label(mask)
-    if n == 0:
+        if frame.shape != mask.shape:
+            raise PipelineError(
+                f"frame shape {frame.shape} does not match mask shape "
+                f"{mask.shape}")
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
         return []
+    cols = np.flatnonzero(mask.any(axis=0))
+    top, left = int(rows[0]), int(cols[0])
+    labels, _ = ndimage.label(mask[top:rows[-1] + 1, left:cols[-1] + 1])
     blobs: list[Blob] = []
-    slices = ndimage.find_objects(labels)
-    for index, box in enumerate(slices, start=1):
-        if box is None:
-            continue
+    for index, box in enumerate(ndimage.find_objects(labels), start=1):
         component = labels[box] == index
         area = int(component.sum())
         if area < min_area:
@@ -125,22 +134,21 @@ def extract_blobs(mask: np.ndarray, frame: np.ndarray | None = None,
         if max_area is not None and area > max_area:
             continue
         ys, xs = np.nonzero(component)
-        y_off, x_off = box[0].start, box[1].start
-        cy = float(ys.mean() + y_off)
-        cx = float(xs.mean() + x_off)
+        y0, x0 = box[0].start + top, box[1].start + left
+        y1, x1 = box[0].stop + top, box[1].stop + left
         if frame is not None:
-            pixels = np.asarray(frame[box][component], dtype=float)
+            pixels = np.asarray(frame[y0:y1, x0:x1][component], dtype=float)
             mean_intensity = float(pixels.mean())
         else:
             mean_intensity = float("nan")
         blobs.append(
             Blob(
-                cx=cx,
-                cy=cy,
-                x0=int(x_off),
-                y0=int(y_off),
-                x1=int(box[1].stop),
-                y1=int(box[0].stop),
+                cx=float(xs.mean() + x0),
+                cy=float(ys.mean() + y0),
+                x0=x0,
+                y0=y0,
+                x1=x1,
+                y1=y1,
                 area=area,
                 mean_intensity=mean_intensity,
             )

@@ -90,13 +90,16 @@ class VideoClip:
                         illumination_drift=illumination_drift)
 
         sigma = np.asarray(noise_sigma, dtype=float)
+        noisy = bool(np.any(sigma > 0))
 
         def get(i: int) -> np.ndarray:
-            rng = np.random.default_rng((render_seed, i))
-            img = base.clean_frame(i)
-            if np.any(sigma > 0):
-                img += rng.normal(0.0, 1.0, size=img.shape) * sigma
-            return np.clip(img, 0, 255).astype(np.uint8)
+            img = base.clean_frame(i)  # a fresh array: changed in place
+            if noisy:
+                rng = np.random.default_rng((render_seed, i))
+                noise = rng.standard_normal(img.shape)
+                noise *= sigma
+                img += noise
+            return np.clip(img, 0, 255, out=img).astype(np.uint8)
 
         metadata = dict(result.metadata)
         metadata.setdefault("width", result.width)
@@ -161,6 +164,11 @@ class FrameReader:
     so the frames are the same whichever thread renders them and in
     whatever order.
 
+    ``rendered`` maps indices to frames already rendered from
+    ``frames``.  The reader hands such a frame out in place of rendering
+    it again, and removes it from the dict as it does, so the dict holds
+    no frame past its use; closing the reader empties it.
+
     The helper renders under a copy of the caller's :mod:`contextvars`
     context, so a render's telemetry events carry the caller's query
     context.  A frame that failed to render raises its exception when
@@ -172,9 +180,11 @@ class FrameReader:
     #: Name of the helper thread (tests look for leftover helpers).
     THREAD_NAME = "repro-frame-reader"
 
-    def __init__(self, frames, indices: Iterable[int]) -> None:
+    def __init__(self, frames, indices: Iterable[int],
+                 rendered: dict[int, np.ndarray] | None = None) -> None:
         self._ahead = isinstance(frames, VideoClip)
-        self._read = frames.get if self._ahead else frames.__getitem__
+        self._get = frames.get if self._ahead else frames.__getitem__
+        self._rendered = {} if rendered is None else rendered
         self._indices = [int(i) for i in indices]
         self._next = 0       # the position the caller reads next
         self._started = 0    # every position below it is taken by a thread
@@ -210,6 +220,11 @@ class FrameReader:
                 name=self.THREAD_NAME, daemon=True)
             self._helper.start()
         return frame
+
+    def _read(self, index: int) -> np.ndarray:
+        """Frame ``index``: handed over from ``rendered``, or rendered."""
+        frame = self._rendered.pop(index, None)
+        return self._get(index) if frame is None else frame
 
     def _take(self, pos: int) -> np.ndarray:
         """Frame ``pos``: from the helper, or rendered on this thread."""
@@ -271,6 +286,7 @@ class FrameReader:
         with self._cond:
             self._closed = True
             self._done.clear()
+            self._rendered.clear()
             self._cond.notify_all()
         if self._helper is not None:
             self._helper.join()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.vision.background import BackgroundModel
+from repro.vision.background import BackgroundModel, bootstrap_indices
 from repro.vision.blobs import Blob, clean_mask, extract_blobs
 from repro.vision.frames import FrameReader
 from repro.vision.spcpe import SPCPE
@@ -110,12 +110,10 @@ class SegmentationPipeline:
         if the model is not already fitted.  A clip's frames render ahead
         on a helper thread while this one segments (see
         :class:`~repro.vision.frames.FrameReader`); the helper is joined
-        before this returns.
+        before this returns.  Each frame renders once: the frames the
+        bootstrap sampled are segmented without rendering them again.
         """
-        if not self.background.is_fitted:
-            self.background.learn(clip)
-        with FrameReader(clip, range(len(clip))) as frames:
-            return [self.detect(i, frame) for i, frame in enumerate(frames)]
+        return self.process_range(clip, 0, len(clip))
 
     def process_range(self, clip, lo: int, hi: int) -> list[list[Detection]]:
         """Process frames ``[lo, hi)`` of a clip, carrying model state.
@@ -127,14 +125,28 @@ class SegmentationPipeline:
         average then sees the frames in the same global order.  The
         pipeline object is picklable between calls, so a resumed ingest
         can restore it mid-clip: frames render ahead as in
-        :meth:`process`, and no reader or thread outlives the call.
+        :meth:`process`, and no reader, thread or frame outlives the
+        call.  The bootstrap's frames inside ``[lo, hi)`` are segmented
+        without rendering them again; the others are dropped when the
+        background is learned.
         """
         if not 0 <= lo <= hi <= len(clip):
             raise PipelineError(
                 f"frame range [{lo}, {hi}) outside clip of {len(clip)} frames"
             )
+        rendered = {}
         if not self.background.is_fitted:
-            self.background.learn(clip)
-        with FrameReader(clip, range(lo, hi)) as frames:
+            rendered = self._bootstrap(clip, lo, hi)
+        with FrameReader(clip, range(lo, hi), rendered) as frames:
             return [self.detect(i, frame)
                     for i, frame in enumerate(frames, start=lo)]
+
+    def _bootstrap(self, clip, lo: int, hi: int) -> dict[int, np.ndarray]:
+        """Learn the background; return its sampled frames in ``[lo, hi)``."""
+        indices = bootstrap_indices(len(clip),
+                                    self.background.bootstrap_frames)
+        with FrameReader(clip, indices) as frames:
+            sample = list(frames)
+        self.background.learn(sample)
+        return {i: frame for i, frame in zip(indices, sample)
+                if lo <= i < hi}

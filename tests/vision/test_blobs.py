@@ -1,5 +1,7 @@
 """Tests for blob extraction (connected components, MBR, centroid)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -103,8 +105,8 @@ class TestExtractBlobs:
 
 
 def _extract_blobs_reference(mask, frame, *, min_area, max_area):
-    """``extract_blobs`` as it was: the whole frame is converted to float
-    for every blob kept, and the patch is cut from the converted copy."""
+    """Reference for ``extract_blobs``: labels the whole mask, and converts
+    the whole frame to float for every blob kept."""
     labels, _ = ndimage.label(mask)
     blobs = []
     for index, box in enumerate(ndimage.find_objects(labels), start=1):
@@ -116,13 +118,109 @@ def _extract_blobs_reference(mask, frame, *, min_area, max_area):
             continue
         ys, xs = np.nonzero(component)
         y_off, x_off = box[0].start, box[1].start
-        patch = np.asarray(frame, dtype=float)[box]
+        if frame is None:
+            mean_intensity = float("nan")
+        else:
+            patch = np.asarray(frame, dtype=float)[box]
+            mean_intensity = float(patch[component].mean())
         blobs.append(Blob(
             cx=float(xs.mean() + x_off), cy=float(ys.mean() + y_off),
             x0=int(x_off), y0=int(y_off), x1=int(box[1].stop),
             y1=int(box[0].stop), area=area,
-            mean_intensity=float(patch[component].mean())))
+            mean_intensity=mean_intensity))
     return blobs
+
+
+def _comparable(blobs):
+    """Blobs as field tuples with each field's type; a NaN intensity (which
+    equals nothing) becomes None."""
+    rows = []
+    for blob in blobs:
+        fields = dataclasses.astuple(blob)
+        if np.isnan(blob.mean_intensity):
+            fields = fields[:-1] + (None,)
+        rows.append(tuple((type(f), f) for f in fields))
+    return rows
+
+
+@st.composite
+def _masks(draw):
+    """Masks up to 40 x 40: random, empty, all foreground, one pixel, or
+    random with foreground runs on every border."""
+    height, width = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(
+        ["random", "empty", "full", "pixel", "border"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros((height, width), dtype=bool)
+    if kind in ("random", "border"):
+        mask = rng.random((height, width)) < draw(st.floats(0.01, 0.9))
+    elif kind == "full":
+        mask[:] = True
+    elif kind == "pixel":
+        mask[rng.integers(height), rng.integers(width)] = True
+    if kind == "border":
+        for edge in (mask[0], mask[-1], mask[:, 0], mask[:, -1]):
+            lo = int(rng.integers(len(edge)))
+            edge[lo:int(rng.integers(lo, len(edge))) + 1] = True
+    return mask
+
+
+class TestForegroundBoxLabelling:
+    """Labelling only the foreground's bounding box gives the blobs of
+    labelling the whole mask, bit for bit and in the same order."""
+
+    @given(mask=_masks(), frame_kind=st.sampled_from(
+        [None, np.uint8, np.float64]), data=st.data())
+    @example(mask=np.zeros((1, 1), dtype=bool), frame_kind=None,
+             data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_whole_mask_labelling(self, mask, frame_kind, data):
+        frame = None
+        if frame_kind is not None:
+            rng = np.random.default_rng(int(mask.sum()))
+            frame = (rng.integers(0, 256, mask.shape).astype(np.uint8)
+                     if frame_kind is np.uint8
+                     else rng.normal(100.0, 40.0, mask.shape))
+        # Area gates at the areas components have: on a gate's edge, a
+        # component is kept; one past it, dropped.
+        areas = sorted(set(np.bincount(ndimage.label(mask)[0].ravel())[1:]
+                           .tolist())) or [1]
+        min_area, max_area = 1, None
+        if data is not None:
+            min_area = data.draw(st.sampled_from(areas)
+                                 | st.sampled_from(areas).map(lambda a: a + 1)
+                                 | st.integers(0, 3))
+            max_area = data.draw(st.none() | st.sampled_from(areas)
+                                 | st.sampled_from(areas).map(lambda a: a - 1))
+        got = extract_blobs(mask, frame, min_area=min_area,
+                            max_area=max_area)
+        expected = _extract_blobs_reference(mask, frame, min_area=min_area,
+                                            max_area=max_area)
+        assert _comparable(got) == _comparable(expected)
+
+    def test_every_component_across_the_frame(self):
+        """Components at every corner and in the middle, so the box is the
+        whole frame; and a box far from the origin."""
+        mask = _mask_with_rects([(0, 3, 0, 3), (0, 2, 57, 60),
+                                 (38, 40, 0, 4), (37, 40, 55, 60),
+                                 (18, 22, 28, 33)])
+        frame = np.arange(mask.size, dtype=float).reshape(mask.shape)
+        for m in (mask, _mask_with_rects([(30, 35, 44, 50)])):
+            got = extract_blobs(m, frame, min_area=1)
+            assert got == _extract_blobs_reference(m, frame, min_area=1,
+                                                   max_area=None)
+
+    @pytest.mark.parametrize("frame_shape", [(20, 20), (5, 5), (10, 12),
+                                             (10,), (10, 10, 1)])
+    def test_rejects_frame_of_another_shape(self, frame_shape):
+        """A larger frame would be read through the mask's boxes (its
+        top-left corner), a smaller one would fail mid-way."""
+        mask = np.zeros((10, 10), dtype=bool)
+        mask[2:8, 2:8] = True
+        with pytest.raises(PipelineError) as info:
+            extract_blobs(mask, np.zeros(frame_shape), min_area=1)
+        assert str(frame_shape) in str(info.value)
+        assert str(mask.shape) in str(info.value)
 
 
 class TestFrameConversion:

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PipelineError
+from repro.sim.camera import CameraModel
+from repro.sim.render import Renderer
 from repro.vision import VideoClip
 
 
@@ -71,3 +75,58 @@ class TestFromSimulation:
         clip = VideoClip.from_simulation(small_tunnel)
         assert clip.metadata["scenario"] == "tunnel"
         assert clip.metadata["width"] == small_tunnel.width
+
+
+def _reference_getter(result, *, noise_sigma, render_seed, camera=None,
+                      illumination_drift=0.0):
+    """Reference frame getter: scaled ``normal(0, 1)`` noise added to the
+    clean frame, then clipped into a new array."""
+    base = Renderer(result, noise_sigma=0.0, flicker_sigma=0.0,
+                    camera=camera, illumination_drift=illumination_drift)
+    sigma = np.asarray(noise_sigma, dtype=float)
+
+    def get(i):
+        rng = np.random.default_rng((render_seed, i))
+        img = base.clean_frame(i)
+        if np.any(sigma > 0):
+            img += rng.normal(0.0, 1.0, size=img.shape) * sigma
+        return np.clip(img, 0, 255).astype(np.uint8)
+    return get
+
+
+def _sigma_map(result):
+    """Per-pixel noise: 0 on the left third, 1-60 elsewhere."""
+    sigma = np.random.default_rng(1).uniform(
+        1.0, 60.0, (result.height, result.width))
+    sigma[:, :result.width // 3] = 0.0
+    return sigma
+
+
+RENDER_CASES = {
+    "scalar_sigma": {"noise_sigma": 2.0},
+    "clipping_sigma": {"noise_sigma": 90.0},
+    "sigma_map": {"noise_sigma": _sigma_map},
+    "zero_sigma": {"noise_sigma": 0.0},
+    "illumination_drift": {"noise_sigma": 2.0, "illumination_drift": 0.4},
+    "camera": {"noise_sigma": 2.0, "camera": CameraModel.tilted()},
+}
+
+
+class TestFromSimulationPixels:
+    """In-place noise gives the reference getter's frames, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(RENDER_CASES))
+    @given(render_seed=st.integers(0, 2**31 - 1), index=st.integers(0, 499))
+    @settings(max_examples=15, deadline=None)
+    def test_frames_equal_the_reference(self, small_tunnel, case,
+                                        render_seed, index):
+        kwargs = dict(RENDER_CASES[case])
+        if callable(kwargs["noise_sigma"]):
+            kwargs["noise_sigma"] = kwargs["noise_sigma"](small_tunnel)
+        clip = VideoClip.from_simulation(small_tunnel,
+                                         render_seed=render_seed, **kwargs)
+        expected = _reference_getter(small_tunnel, render_seed=render_seed,
+                                     **kwargs)(index)
+        got = clip.get(index)
+        assert got.dtype == expected.dtype == np.uint8
+        np.testing.assert_array_equal(got, expected)

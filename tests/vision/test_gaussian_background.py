@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import NotFittedError, PipelineError
 from repro.vision import GaussianBackgroundModel, SegmentationPipeline
+from tests.vision.test_background import (
+    assert_bits_equal,
+    frame_stacks,
+    reference_sample,
+)
 
 
 def _scene(n=30, h=20, w=30, noise_map=None, object_frames=(), seed=0):
@@ -34,6 +40,24 @@ class TestLearn:
     def test_learn_empty_rejected(self):
         with pytest.raises(PipelineError):
             GaussianBackgroundModel().learn(np.zeros((0, 4, 4)))
+
+    @given(stack=frame_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_mean_and_var_equal_the_stacked_formula(self, stack):
+        """The median and MAD taken in place over the pixel-major sample
+        equal this formula over the frame-major stack, bit for bit."""
+        frames, count = stack
+        # inf - inf and 1e30 ** 2, on both sides
+        with np.errstate(invalid="ignore", over="ignore"):
+            sample = reference_sample(frames, count)
+            mean = np.median(sample, axis=0)
+            mad = np.median(np.abs(sample - mean), axis=0)
+            std = np.maximum(1.4826 * mad, GaussianBackgroundModel.MIN_STD)
+            var = (std * std).astype(np.float32)
+            model = GaussianBackgroundModel(bootstrap_frames=count).learn(
+                frames)
+        assert_bits_equal(model.mean, mean)
+        assert_bits_equal(model.var, var)
 
 
 class TestSubtract:

@@ -33,11 +33,6 @@ from repro.core.sharded import (
     ShardedCorpus,
     ShardedRetrievalEngine,
 )
-from repro.core.query_types import (
-    CombinedQueryEngine,
-    ExampleQueryEngine,
-    sketch_to_example,
-)
 
 __all__ = [
     "Bag",
@@ -52,9 +47,6 @@ __all__ = [
     "RetrievalSession",
     "DiverseDensityEngine",
     "EMDDEngine",
-    "ExampleQueryEngine",
-    "CombinedQueryEngine",
-    "sketch_to_example",
     "InstanceExplanation",
     "ActiveRetrievalSession",
     "ShardSpec",

@@ -80,12 +80,3 @@ class ActiveRetrievalSession(RetrievalSession):
         self.rounds.append(result)
         self.engine.feed(labels)
         return result
-
-    def ranking_accuracy(self, relevant_bag_ids, k: int | None = None
-                         ) -> float:
-        """Accuracy@k of the *pure* ranking (what a consumer would see),
-        independent of which bags were shown for labelling."""
-        from repro.eval.metrics import accuracy_at_k
-
-        return accuracy_at_k(self.engine.rank(),
-                             relevant_bag_ids, k or self.top_k)

@@ -30,7 +30,7 @@ from repro.db.schema import (
     TrackRecord,
     session_id_for,
 )
-from repro.db.storage import ArrayStore, InMemoryArrayStore, NpzArrayStore
+from repro.db.storage import InMemoryArrayStore, NpzArrayStore
 from repro.errors import (
     ConfigurationError,
     DatabaseBusyError,
@@ -317,11 +317,9 @@ class VideoDatabase:
     ----------
     path:
         SQLite file path, or ``":memory:"`` (default) for an ephemeral
-        database with an in-memory array store.
-    array_store:
-        Override the bulk-array backend; defaults to in-memory for
-        ``:memory:`` and an npz directory next to the SQLite file
-        otherwise.
+        database with an in-memory array store.  A file-backed catalog
+        keeps its bulk arrays in an npz directory next to the SQLite
+        file.
     busy_timeout_ms:
         How long SQLite spins on a held lock before surfacing
         :class:`~repro.errors.DatabaseBusyError` (WAL mode makes
@@ -350,8 +348,7 @@ class VideoDatabase:
     closes every thread's connection and may be called from any thread.
     """
 
-    def __init__(self, path: str | Path = ":memory:",
-                 array_store: ArrayStore | None = None, *,
+    def __init__(self, path: str | Path = ":memory:", *,
                  busy_timeout_ms: int = 5000,
                  connection_factory=None,
                  quick_check: bool = True) -> None:
@@ -373,9 +370,7 @@ class VideoDatabase:
         self._conn.executescript(_SCHEMA)
         if checked:
             self._cluster_labels()
-        if array_store is not None:
-            self.arrays = array_store
-        elif self.path == ":memory:":
+        if self.path == ":memory:":
             self.arrays = InMemoryArrayStore()
         else:
             self.arrays = NpzArrayStore(Path(self.path).parent

@@ -45,8 +45,7 @@ __all__ = ["SemanticQuerySession", "MultiClipQuerySession",
            "sharded_corpus", "merged_corpus_id", "session_id_for",
            "ENGINE_FACTORIES"]
 
-#: Engine name -> the learning rule the session's engine runs; a
-#: session's ``engine_kwargs`` configure the engine and its rule.
+#: Engine name -> the learning rule the session's engine runs.
 ENGINE_FACTORIES = {
     "mil_ocsvm": OneClassRule,
     "weighted_rf": WeightedRFRule,
@@ -462,10 +461,9 @@ class MultiClipQuerySession(_QuerySessionBase):
     matrices and Gram-cache columns are paid once for all of them, and
     the session absorbs bags a streaming ingest appended before its
     replay and before every round.  ``engine`` names the learning rule
-    (:data:`ENGINE_FACTORIES`); ``engine_kwargs`` configure the engine
-    and its rule.  Shards load lazily, each ranking round sorts every
-    served bag once, and ``candidates_per_shard=M`` caps how many
-    bags per shard the learning rule scores exactly (the rest keep their
+    (:data:`ENGINE_FACTORIES`).  Shards load lazily, each ranking round
+    sorts every served bag once, and ``candidates_per_shard=M`` caps how
+    many bags per shard the learning rule scores exactly (the rest keep their
     cheap heuristic order after all candidates — a recall/latency knob).
     With ``candidates_per_shard=None`` the ranking matches the engine
     over the :func:`~repro.core.bags.merge_datasets` corpus, for either
@@ -478,8 +476,7 @@ class MultiClipQuerySession(_QuerySessionBase):
     fails mid-session: ``"strict"`` (default) raises
     :class:`~repro.errors.ShardUnavailableError`, ``"degraded"`` keeps
     the session alive on the healthy shards and reports the skipped
-    coverage via :attr:`last_coverage` /
-    :meth:`results_with_coverage`.  Failed shards sit on a
+    coverage via :attr:`last_coverage`.  Failed shards sit on a
     ``retry_policy`` backoff schedule and rejoin automatically once
     their artifacts heal.
     """
@@ -500,10 +497,8 @@ class MultiClipQuerySession(_QuerySessionBase):
         failure_policy: str = "strict",
         retry_policy: RetryPolicy | None = None,
         clock=None,
-        engine_kwargs: dict | None = None,
         ledger: bool = True,
         profiler: TailProfiler | float | None = None,
-        query_id: str | None = None,
     ) -> None:
         if not clip_ids:
             raise ConfigurationError("need >= 1 clip id")
@@ -545,7 +540,7 @@ class MultiClipQuerySession(_QuerySessionBase):
         #: Fresh per-session-object correlation id, stamped (via
         #: :func:`repro.obs.query_context`) onto every span and event
         #: either side of the process boundary.
-        self.query_id = query_id or new_query_id()
+        self.query_id = new_query_id()
         self.ledger = bool(ledger)
         if isinstance(profiler, (int, float)):
             profiler = TailProfiler(float(profiler))
@@ -567,14 +562,12 @@ class MultiClipQuerySession(_QuerySessionBase):
             if nprobe is not None:
                 ivf_kwargs["nprobe"] = int(nprobe)
             nominator = IVFNominator(**ivf_kwargs)
-        engine_kwargs = {"nominator": nominator,
-                         "failure_policy": failure_policy,
-                         **(engine_kwargs or {}),
-                         "candidates_per_shard": candidates_per_shard}
         #: Builds a fresh, unfed engine over the corpus — what
         #: :meth:`resync` replays the stored history into.
         self._engine_factory = partial(
-            ShardedRetrievalEngine, self.dataset, rule=rule, **engine_kwargs)
+            ShardedRetrievalEngine, self.dataset, rule=rule,
+            nominator=nominator, failure_policy=failure_policy,
+            candidates_per_shard=candidates_per_shard)
         self.engine = self._engine_factory()
         #: Set when a label write failed after the engine took the
         #: labels; the next round resyncs before it ranks.
@@ -596,15 +589,6 @@ class MultiClipQuerySession(_QuerySessionBase):
         possible under ``failure_policy="degraded"``).
         """
         return self.engine.last_coverage
-
-    def results_with_coverage(
-        self, *, vehicle_class: str | None = None,
-    ) -> tuple[list[int], CoverageReport | None]:
-        """:meth:`results` plus the coverage report for that round —
-        the honest-degraded contract in one call."""
-        ids = self.results(vehicle_class=vehicle_class)
-        return ids, self.last_coverage
-
 
 class SemanticQuerySession(MultiClipQuerySession):
     """One user's interactive query against one stored clip/event dataset.

@@ -5,12 +5,7 @@
 prints paper-vs-measured tables.
 """
 
-from repro.eval.metrics import (
-    accuracy_at_k,
-    accuracy_curve,
-    average_precision,
-    overall_gain,
-)
+from repro.eval.metrics import accuracy_at_k, overall_gain
 from repro.eval.parallel import (
     IngestTask,
     artifacts_for_seeds,
@@ -32,8 +27,6 @@ from repro.eval.reporting import comparison_table, format_series_table
 
 __all__ = [
     "accuracy_at_k",
-    "accuracy_curve",
-    "average_precision",
     "overall_gain",
     "ClipArtifacts",
     "build_artifacts",

@@ -1,4 +1,4 @@
-"""Terminal charts: sparklines and small line charts for accuracy curves.
+"""Terminal charts: small line charts for accuracy curves.
 
 The benchmarks and the CLI print accuracy-per-round series; a picture of
 the curve (is it climbing? bouncing? collapsed?) is faster to read than a
@@ -11,24 +11,9 @@ from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 
-__all__ = ["sparkline", "line_chart"]
+__all__ = ["line_chart"]
 
-_BLOCKS = "▁▂▃▄▅▆▇█"
 _MARKERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def sparkline(values: Sequence[float], *, lo: float = 0.0,
-              hi: float = 1.0) -> str:
-    """One-line block-character sketch of a series, scaled to [lo, hi]."""
-    if hi <= lo:
-        raise ConfigurationError(f"need hi > lo, got [{lo}, {hi}]")
-    out = []
-    for value in values:
-        clamped = min(max(value, lo), hi)
-        level = (clamped - lo) / (hi - lo)
-        out.append(_BLOCKS[min(int(level * len(_BLOCKS)),
-                               len(_BLOCKS) - 1)])
-    return "".join(out)
 
 
 def line_chart(series: Mapping[str, Sequence[float]], *, height: int = 8,

@@ -3,8 +3,8 @@
 The paper (Section 6.2) argues that with no prior knowledge of the total
 number of correct results, precision/recall are not applicable and uses
 "accuracy": the percentage of relevant VSs within the top n returned.
-That is top-n precision; we implement it under the paper's name plus a
-few standard companions used by the ablation benches.
+That is top-n precision; we implement it under the paper's name, plus
+the final-minus-initial gain the paper reports.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "accuracy_at_k",
-    "accuracy_curve",
-    "average_precision",
     "overall_gain",
 ]
 
@@ -33,29 +31,6 @@ def accuracy_at_k(returned: Sequence[int], relevant: Iterable[int],
     if not items:
         return 0.0
     return sum(1 for b in items if b in relevant) / len(items)
-
-
-def accuracy_curve(rounds_returned: Sequence[Sequence[int]],
-                   relevant: Iterable[int],
-                   k: int | None = None) -> list[float]:
-    """Accuracy per feedback round (the paper's Figures 8/9 series)."""
-    relevant = set(relevant)
-    return [accuracy_at_k(returned, relevant, k)
-            for returned in rounds_returned]
-
-
-def average_precision(returned: Sequence[int],
-                      relevant: Iterable[int]) -> float:
-    """AP over a ranking: mean of precision@rank at each relevant hit."""
-    relevant = set(relevant)
-    if not relevant:
-        return 0.0
-    hits, total = 0, 0.0
-    for rank, item in enumerate(returned, start=1):
-        if item in relevant:
-            hits += 1
-            total += hits / rank
-    return total / len(relevant)
 
 
 def overall_gain(accuracies: Sequence[float]) -> float:

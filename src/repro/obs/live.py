@@ -16,16 +16,16 @@ below are both this server.
 Prometheus text (the exact output of
 :func:`~repro.obs.exporters.prometheus_text`, so scrape and file dump
 never disagree) and ``/healthz`` is a JSON health document that folds in
-the declared SLOs (:mod:`repro.obs.slo`): status ``ok`` while every
-objective with samples is met, ``degraded`` otherwise.
+the SLO set :data:`~repro.obs.slo.DEFAULT_SLOS`: status ``ok`` while
+every objective with samples is met, ``degraded`` otherwise.
 
 The rendering itself lives in :func:`render_metrics` /
 :func:`render_healthz` so the retrieval service (:mod:`repro.service`)
 serves byte-identical ``/metrics`` and ``/healthz`` documents without
 duplicating the logic.
 
-The scrape endpoint resolves the registry *per request* (default
-:func:`repro.obs.get_telemetry`), so tests that swap registries and the
+The scrape endpoint resolves the registry *per request*
+(:func:`repro.obs.get_telemetry`), so tests that swap registries and the
 CLI's per-command registries are always the thing scraped.  ``port=0``
 binds an ephemeral port — the chosen one is in :attr:`port`/:attr:`url`.
 """
@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _REASONS
 
 from repro.obs.exporters import prometheus_text
-from repro.obs.slo import DEFAULT_SLOS, evaluate_slos
+from repro.obs.slo import evaluate_slos
 
 __all__ = ["AsyncHTTPServer", "LiveMetricsServer", "render_metrics",
            "render_healthz"]
@@ -54,7 +54,7 @@ def render_metrics(telemetry) -> tuple[int, str, bytes]:
     return 200, "text/plain; version=0.0.4", body
 
 
-def render_healthz(telemetry, slos=DEFAULT_SLOS) -> tuple[int, str, bytes]:
+def render_healthz(telemetry) -> tuple[int, str, bytes]:
     """``(status, content_type, body)`` for a ``/healthz`` probe.
 
     Healthy (200/``ok``) while every SLO *with samples* is met; 503 /
@@ -62,7 +62,7 @@ def render_healthz(telemetry, slos=DEFAULT_SLOS) -> tuple[int, str, bytes]:
     objectives are listed but never fail the probe — an idle service is
     not a broken one.
     """
-    statuses = evaluate_slos(telemetry, slos)
+    statuses = evaluate_slos(telemetry)
     sampled = [st for st in statuses if st.samples > 0]
     healthy = all(st.met for st in sampled)
     doc = {
@@ -308,21 +308,13 @@ class LiveMetricsServer(AsyncHTTPServer):
     Serves ``GET /metrics`` and ``GET /healthz``, answers 404 otherwise,
     and counts every request in ``obs.live.requests`` by path.  Usable
     as a context manager; ``stop()`` (or exiting the ``with`` block)
-    closes the listener and joins the serving thread.  By default the
-    *current* process-wide registry is served, whatever
+    closes the listener and joins the serving thread.  The *current*
+    process-wide registry is served, whatever
     :func:`~repro.obs.set_telemetry` has made current by scrape time.
     """
 
-    def __init__(self, telemetry=None, *, host: str = "127.0.0.1",
-                 port: int = 0, slos=DEFAULT_SLOS) -> None:
+    def __init__(self, *, host: str = "127.0.0.1", port: int = 0) -> None:
         super().__init__(self, host=host, port=port, max_workers=1)
-        self._fixed_telemetry = telemetry
-        self.slos = tuple(slos)
-
-    def resolve_telemetry(self):
-        if self._fixed_telemetry is not None:
-            return self._fixed_telemetry
-        return super().resolve_telemetry()
 
     def handle(self, method: str, target: str,
                body: bytes) -> tuple[int, str, bytes]:
@@ -335,4 +327,4 @@ class LiveMetricsServer(AsyncHTTPServer):
             return 404, "text/plain", b"not found\n"
         if path == "/metrics":
             return render_metrics(telemetry)
-        return render_healthz(telemetry, self.slos)
+        return render_healthz(telemetry)

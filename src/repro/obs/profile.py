@@ -152,7 +152,7 @@ class TailProfiler:
     """
 
     def __init__(self, threshold_ms: float, *, interval_s: float = 0.005,
-                 clock=time.perf_counter, max_profiles: int = 16) -> None:
+                 max_profiles: int = 16) -> None:
         if threshold_ms <= 0:
             raise ConfigurationError(
                 f"threshold_ms must be > 0, got {threshold_ms}")
@@ -161,7 +161,6 @@ class TailProfiler:
                 f"interval_s must be > 0, got {interval_s}")
         self.threshold_ms = float(threshold_ms)
         self.interval_s = float(interval_s)
-        self.clock = clock
         self.max_profiles = int(max_profiles)
         #: Kept (tail) profiles, oldest first.
         self.profiles: list[RoundProfile] = []
@@ -171,7 +170,7 @@ class TailProfiler:
     def round(self, **attrs) -> Iterator[RoundProfile]:
         """Sample the calling thread for the duration of the block."""
         profile = RoundProfile(self.threshold_ms)
-        t0 = self.clock()
+        t0 = time.perf_counter()
         first_delay_s = max(self.interval_s, self.threshold_ms / 2000.0)
         self._sampler.arm(threading.get_ident(), profile.samples,
                           first_delay_s)
@@ -179,7 +178,7 @@ class TailProfiler:
             yield profile
         finally:
             self._sampler.disarm()
-            profile.wall_ms = (self.clock() - t0) * 1000.0
+            profile.wall_ms = (time.perf_counter() - t0) * 1000.0
             self._resolve(profile, attrs)
 
     def close(self) -> None:

@@ -24,11 +24,11 @@ SUMMARY_SCHEMA = "repro-run-summary-v1"
 _TOP_SPANS = 10
 
 
-def run_summary(telemetry, *, top_spans: int = _TOP_SPANS) -> dict:
+def run_summary(telemetry) -> dict:
     """Reduce a registry to the persistable per-run summary dict."""
     spans = list(telemetry.spans)
     slowest = sorted(spans, key=lambda s: s.wall_ms,
-                     reverse=True)[:top_spans]
+                     reverse=True)[:_TOP_SPANS]
     error_spans = [s for s in spans if s.status == "error"]
     metrics = [snap for snap in telemetry.metrics_snapshot()
                if snap["series"]]

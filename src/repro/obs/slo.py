@@ -75,7 +75,8 @@ class SLOStatus:
         return self.objective.name
 
 
-#: The interactive loop's core promises; services may declare their own.
+#: The interactive loop's core promises: the objectives every evaluation
+#: judges.
 DEFAULT_SLOS: tuple[SLObjective, ...] = (
     SLObjective(
         name="round-latency-p99",
@@ -139,8 +140,7 @@ def _judge(slo: SLObjective, measured: float, samples: int,
     return SLOStatus(slo, measured, met, samples, burn)
 
 
-def evaluate_slos(telemetry, slos=DEFAULT_SLOS,
-                  *, record: bool = True) -> list[SLOStatus]:
+def evaluate_slos(telemetry, *, record: bool = True) -> list[SLOStatus]:
     """Evaluate every objective against a live registry.
 
     The registry's snapshot is judged as a persisted summary would be
@@ -151,7 +151,7 @@ def evaluate_slos(telemetry, slos=DEFAULT_SLOS,
     has not broken any promise.
     """
     statuses = evaluate_slos_from_summary(
-        {"metrics": telemetry.metrics_snapshot()}, slos)
+        {"metrics": telemetry.metrics_snapshot()})
     if not (record and telemetry.enabled):
         return statuses
     for status in statuses:
@@ -167,8 +167,7 @@ def evaluate_slos(telemetry, slos=DEFAULT_SLOS,
     return statuses
 
 
-def evaluate_slos_from_summary(summary: dict,
-                               slos=DEFAULT_SLOS) -> list[SLOStatus]:
+def evaluate_slos_from_summary(summary: dict) -> list[SLOStatus]:
     """Evaluate objectives against a persisted run-summary dict.
 
     Works on the snapshot shape :func:`repro.obs.report.run_summary`
@@ -177,7 +176,7 @@ def evaluate_slos_from_summary(summary: dict,
     """
     snaps = {snap.get("name"): snap for snap in summary.get("metrics", ())}
     statuses: list[SLOStatus] = []
-    for slo in slos:
+    for slo in DEFAULT_SLOS:
         snap = snaps.get(slo.metric) or {}
         series = snap.get("series", [])
         measured, samples, bad = math.nan, 0, 0.0

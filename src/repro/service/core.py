@@ -13,7 +13,10 @@ transport.
 Session lifecycle
 -----------------
 ``POST /sessions`` registers a durable :class:`~repro.db.SessionRecord`
-in the catalog and materializes the session in this worker.  The
+in the catalog and materializes the session in this worker.  Re-creating
+a session resumes it when the create repeats the stored engine,
+``top_k`` and ``params``, and answers 409 with the stored ones when it
+does not: no worker's resident session could follow the change.  The
 session *object* is a cache: any worker that receives a request for an
 unknown session id reconstructs it from the record and the stored label
 history (the library's normal resume path), so workers are
@@ -44,7 +47,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs import get_telemetry, render_healthz, render_metrics
-from repro.obs.slo import DEFAULT_SLOS
 
 __all__ = ["RetrievalService"]
 
@@ -117,16 +119,13 @@ class RetrievalService:
         least-recently-used idle session is evicted (its durable record
         and label history survive, so it resumes transparently on next
         touch).
-    default_top_k:
-        ``top_k`` for sessions whose create payload doesn't set one.
     ledger:
         Whether sessions append per-round quality-ledger rows (the
         ``explain`` endpoint reads them back).
     """
 
     def __init__(self, db_path, *, max_sessions: int = 256,
-                 default_top_k: int = 20, ledger: bool = True,
-                 slos=DEFAULT_SLOS, busy_timeout_ms: int = 5000) -> None:
+                 ledger: bool = True) -> None:
         if max_sessions < 1:
             raise ConfigurationError("max_sessions must be >= 1")
         if str(db_path) == ":memory:":
@@ -134,11 +133,9 @@ class RetrievalService:
                 "RetrievalService needs a file-backed catalog: a "
                 "':memory:' catalog is one connection, which every worker "
                 "thread would share")
-        self.db = VideoDatabase(db_path, busy_timeout_ms=busy_timeout_ms)
+        self.db = VideoDatabase(db_path)
         self.max_sessions = int(max_sessions)
-        self.default_top_k = int(default_top_k)
         self.ledger = bool(ledger)
-        self.slos = tuple(slos)
         self._sessions: dict[str, _SessionEntry] = {}
         self._lock = threading.Lock()
         self._seq = 0
@@ -224,7 +221,7 @@ class RetrievalService:
         if method == "GET" and not parts:
             return self._index()
         if method == "GET" and parts == ["healthz"]:
-            return render_healthz(get_telemetry(), self.slos)
+            return render_healthz(get_telemetry())
         if method == "GET" and parts == ["metrics"]:
             return render_metrics(get_telemetry())
         if parts and parts[0] == "sessions":
@@ -300,7 +297,7 @@ class RetrievalService:
                 400, "'clips' must be a non-empty list of clip ids")
         event = str(payload.get("event", "accident"))
         engine = str(payload.get("engine", "mil_ocsvm"))
-        top_k = _json_int(payload.get("top_k", self.default_top_k), "top_k")
+        top_k = _json_int(payload.get("top_k", 20), "top_k")
         extra = payload.get("params", {})
         if not isinstance(extra, dict):
             raise _HTTPError(400, "'params' must be a JSON object")
@@ -318,6 +315,25 @@ class RetrievalService:
             corpus_id=corpus_id, event_name=event,
             clip_ids=tuple(clips), engine=engine, top_k=top_k,
             params=dict(extra))
+        try:
+            stored = self.db.session_record(record.session_id)
+        except DatabaseBusyError:
+            raise
+        except StorageError:  # no record yet: a new session
+            stored = None
+        if stored is not None and (
+                (stored.engine, stored.top_k, stored.params)
+                != (record.engine, record.top_k, record.params)):
+            # Rewriting the record would not reach a session object that
+            # is already resident here or on another worker, so the
+            # session would rank differently depending on who serves it.
+            return _json_body(409, {
+                "error": "settings_conflict",
+                "message": f"session {record.session_id!r} exists with "
+                           f"other settings; repeat the stored ones to "
+                           f"resume it",
+                "stored": {"engine": stored.engine, "top_k": stored.top_k,
+                           "params": stored.params}})
         entry, created = self._materialize(record)
         with entry.lock:
             self.db.register_session(record)

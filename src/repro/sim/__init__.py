@@ -33,7 +33,6 @@ from repro.sim.incidents import (
     WallCrash,
 )
 from repro.sim.scenarios import (
-    ScenarioConfig,
     curve,
     highway,
     intersection,
@@ -59,7 +58,6 @@ __all__ = [
     "CollisionCrash",
     "UTurn",
     "Speeding",
-    "ScenarioConfig",
     "tunnel",
     "intersection",
     "highway",

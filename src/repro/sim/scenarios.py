@@ -15,8 +15,6 @@ All generators are deterministic given ``seed`` and return a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -31,25 +29,10 @@ from repro.sim.incidents import (
 )
 from repro.sim.world import Route, SimulationResult, TrafficWorld, Vehicle, VehicleSpec
 from repro.sim.incidents import WallCrash
-from repro.utils import as_rng, check_positive
+from repro.utils import as_rng
 
 #: Relative frequency of vehicle classes in generated traffic.
 _KIND_WEIGHTS = (("car", 0.6), ("suv", 0.3), ("truck", 0.1))
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Frame geometry shared by all scenario generators."""
-
-    n_frames: int = 600
-    width: int = 320
-    height: int = 240
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_positive("n_frames", self.n_frames)
-        check_positive("width", self.width)
-        check_positive("height", self.height)
 
 
 def _pick_kind(rng: np.random.Generator) -> str:

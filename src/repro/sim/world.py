@@ -214,12 +214,6 @@ class SimulationResult:
     def max_concurrency(self) -> int:
         return max((len(fs) for fs in self.states), default=0)
 
-    def segment_states(self, segment_frames: int
-                       ) -> "list[list[list[VehicleState]]]":
-        """Per-frame states grouped into fixed-size ingest segments."""
-        return [self.states[lo:hi]
-                for lo, hi in segment_bounds(self.n_frames, segment_frames)]
-
 
 def segment_bounds(n_frames: int, segment_frames: int
                    ) -> list[tuple[int, int]]:

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.obs import get_telemetry
-from repro.svm.kernels import DEFAULT_BLOCK_ROWS, Kernel, RBFKernel
+from repro.svm.kernels import Kernel, RBFKernel
 from repro.utils import check_2d, row_sq_norms
 
 __all__ = ["GramCache"]
@@ -45,15 +45,11 @@ class GramCache:
         The (n, d) database matrix (already standardized — the cache
         never transforms).  A defensive reference is kept, not a copy;
         callers must treat the matrix as frozen for the cache's lifetime.
-    block_rows:
-        Row-block size for kernel evaluation (peak-memory bound).
     """
 
-    def __init__(self, x: np.ndarray, *,
-                 block_rows: int = DEFAULT_BLOCK_ROWS) -> None:
+    def __init__(self, x: np.ndarray) -> None:
         self._x = check_2d("x", x)
         self._x_sq = row_sq_norms(self._x)
-        self._block_rows = int(block_rows)
         self._params: tuple | None = None
         self._cols: dict[int, np.ndarray] = {}
         self._diag: np.ndarray | None = None
@@ -120,12 +116,10 @@ class GramCache:
                           reused=len(ids) - len(missing)):
                 sub = np.ascontiguousarray(vectors[missing])
                 if isinstance(kernel, RBFKernel):
-                    fresh = kernel.compute_blocked(
-                        self._x, sub, block_rows=self._block_rows,
-                        a_sq=self._x_sq)
+                    fresh = kernel.compute_blocked(self._x, sub,
+                                                   a_sq=self._x_sq)
                 else:
-                    fresh = kernel.compute_blocked(
-                        self._x, sub, block_rows=self._block_rows)
+                    fresh = kernel.compute_blocked(self._x, sub)
                 for j, k in enumerate(missing):
                     self._cols[ids[k]] = np.ascontiguousarray(fresh[:, j])
         reused = len(ids) - len(missing)

@@ -104,14 +104,6 @@ class TrajectoryModel:
             np.sqrt(np.mean(np.sum((fitted - points) ** 2, axis=1)))
         )
 
-    @property
-    def t_min(self) -> float:
-        return float(self.frames.min())
-
-    @property
-    def t_max(self) -> float:
-        return float(self.frames.max())
-
     def position(self, t: float) -> np.ndarray:
         return np.array([self.curve_x(float(t)), self.curve_y(float(t))])
 
@@ -122,10 +114,6 @@ class TrajectoryModel:
     def velocity(self, t: float) -> np.ndarray:
         """Tangent vector at ``t`` (pixels per frame)."""
         return np.array([self._dx(float(t)), self._dy(float(t))])
-
-    def velocities(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float).ravel()
-        return np.column_stack([self._dx(t), self._dy(t)])
 
     def speed(self, t: float) -> float:
         return float(np.hypot(*self.velocity(t)))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -99,16 +97,3 @@ def pairwise_sq_dists(
     bb = (row_sq_norms(b) if b_sq is None else np.asarray(b_sq))[None, :]
     d2 = aa + bb - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0)
-
-
-def moving_average(values: Sequence[float], window: int) -> np.ndarray:
-    """Simple trailing moving average with a ramp-up at the start."""
-    check_positive("window", window)
-    arr = np.asarray(values, dtype=float)
-    out = np.empty_like(arr)
-    csum = np.cumsum(arr)
-    for i in range(len(arr)):
-        lo = max(0, i - window + 1)
-        total = csum[i] - (csum[lo - 1] if lo > 0 else 0.0)
-        out[i] = total / (i - lo + 1)
-    return out

@@ -145,11 +145,10 @@ class BackgroundModel:
         blend = (1.0 - rate) * self.background + rate * frame
         self.background = np.where(foreground, self.background, blend)
 
-    def apply(self, frame: np.ndarray, *, update: bool = True) -> np.ndarray:
-        """Subtract and (optionally) update in one call; returns the mask."""
+    def apply(self, frame: np.ndarray) -> np.ndarray:
+        """Subtract, then update with the mask; returns the mask."""
         mask = self.subtract(frame)
-        if update:
-            self.update(frame, mask)
+        self.update(frame, mask)
         return mask
 
 
@@ -233,8 +232,7 @@ class GaussianBackgroundModel:
         self.var = np.maximum(
             np.where(keep, self.var, new_var), self.MIN_STD ** 2)
 
-    def apply(self, frame: np.ndarray, *, update: bool = True) -> np.ndarray:
+    def apply(self, frame: np.ndarray) -> np.ndarray:
         mask = self.subtract(frame)
-        if update:
-            self.update(frame, mask)
+        self.update(frame, mask)
         return mask

@@ -112,7 +112,8 @@ class TestChaosSession:
 
         degraded_rounds = 0
         for round_no in range(8):
-            ids, cov = session.results_with_coverage()
+            ids = session.results()
+            cov = session.last_coverage
             _coverage_is_accurate(session, ids)
             if cov.degraded:
                 degraded_rounds += 1
@@ -139,7 +140,8 @@ class TestChaosSession:
         # Faults are exhausted (limit=4): advance past the worst backoff
         # and every shard must rejoin within one reprobe.
         clock.advance(8.0)
-        ids, cov = session.results_with_coverage()
+        session.results()
+        cov = session.last_coverage
         assert not cov.degraded
         assert cov.shards_served == ("a", "b", "c")
         assert cov.bags_total == sum(c[1] for c in CLIPS)
@@ -175,7 +177,8 @@ class TestChaosSession:
         plain = MultiClipQuerySession(plain_db, [c[0] for c in CLIPS],
                                       EVENT, user_id="chaos", top_k=10)
         for _ in range(4):
-            ids, cov = chaos.results_with_coverage()
+            ids = chaos.results()
+            cov = chaos.last_coverage
             assert not cov.degraded
             assert ids == plain.results()
             labels = {b: (b % 3 == 0) for b in ids[:3]}

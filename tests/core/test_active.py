@@ -61,14 +61,6 @@ class TestActiveRetrievalSession:
             return sum(1 for v in session.engine.labels.values() if v)
         assert found(active) >= found(passive) - 1
 
-    def test_ranking_accuracy_helper(self):
-        ds, gt, _, active = self._sessions()
-        rel = {b.bag_id for b in ds.bags
-               if gt.label_window(b.frame_lo, b.frame_hi)}
-        active.run(3)
-        acc = active.ranking_accuracy(rel)
-        assert 0.0 <= acc <= 1.0
-
     def test_validation(self):
         ds, gt, _, _ = self._sessions()
         with pytest.raises(ConfigurationError):

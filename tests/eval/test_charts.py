@@ -3,27 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.eval.charts import line_chart, sparkline
-
-
-class TestSparkline:
-    def test_monotone_series(self):
-        line = sparkline([0.0, 0.25, 0.5, 0.75, 1.0])
-        assert len(line) == 5
-        assert line[0] == "▁"
-        assert line[-1] == "█"
-        assert list(line) == sorted(line)
-
-    def test_clamping(self):
-        line = sparkline([-1.0, 2.0])
-        assert line == "▁█"
-
-    def test_custom_range(self):
-        assert sparkline([50.0], lo=0, hi=100)[0] in "▄▅"
-
-    def test_bad_range(self):
-        with pytest.raises(ConfigurationError):
-            sparkline([0.5], lo=1.0, hi=0.0)
+from repro.eval.charts import line_chart
 
 
 class TestLineChart:

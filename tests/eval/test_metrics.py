@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.eval import accuracy_at_k, accuracy_curve, average_precision, overall_gain
+from repro.eval import accuracy_at_k, overall_gain
 
 
 class TestAccuracyAtK:
@@ -34,30 +34,6 @@ class TestAccuracyAtK:
             assert acc == 1.0
         if not (set(returned) & relevant):
             assert acc == 0.0
-
-
-class TestAccuracyCurve:
-    def test_per_round(self):
-        rounds = [[1, 2], [1, 3], [3, 4]]
-        curve = accuracy_curve(rounds, {1, 4})
-        assert curve == pytest.approx([0.5, 0.5, 0.5])
-
-
-class TestAveragePrecision:
-    def test_perfect_ranking(self):
-        assert average_precision([1, 2, 9, 8], {1, 2}) == pytest.approx(1.0)
-
-    def test_worst_ranking(self):
-        ap = average_precision([9, 8, 1], {1})
-        assert ap == pytest.approx(1 / 3)
-
-    def test_no_relevant(self):
-        assert average_precision([1, 2], set()) == 0.0
-
-    def test_better_ranking_higher_ap(self):
-        good = average_precision([1, 2, 9], {1, 2})
-        bad = average_precision([9, 1, 2], {1, 2})
-        assert good > bad
 
 
 class TestOverallGain:

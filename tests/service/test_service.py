@@ -14,6 +14,7 @@ import pytest
 
 from repro.db import VideoDatabase
 from repro.eval import build_artifacts
+from repro.obs import LiveMetricsServer, Telemetry, set_telemetry
 from repro.service import RetrievalHTTPServer, RetrievalService
 
 
@@ -74,6 +75,29 @@ class TestRouting:
         status, doc = _call(service, "GET", "/healthz")
         assert status in (200, 503)
         assert doc["status"] in ("ok", "degraded")
+
+    def test_healthz_equals_the_scrape_endpoints(self, service):
+        """Both servers answer /healthz through ``render_healthz`` over
+        ``DEFAULT_SLOS``: byte-identical bodies and equal statuses, with
+        every SLO met and with the round-latency SLO breached."""
+        telemetry = Telemetry()
+        previous = set_telemetry(telemetry)
+        try:
+            scrape = LiveMetricsServer()
+            latency = telemetry.histogram("query.round.latency_ms")
+            for _ in range(100):
+                latency.observe(5.0, op="results")
+            for expected in (200, 503):
+                svc_status, _, svc_body = service.handle("GET", "/healthz")
+                live_status, _, live_body = scrape.handle(
+                    "GET", "/healthz", b"")
+                assert svc_status == live_status == expected
+                assert svc_body == live_body
+                # Push p99 past the 500 ms objective for the second pass.
+                for _ in range(10):
+                    latency.observe(2000.0, op="results")
+        finally:
+            set_telemetry(previous)
 
     def test_malformed_json_400(self, service):
         status, _, payload = service.handle("POST", "/sessions",
@@ -138,6 +162,52 @@ class TestSessionLifecycle:
         status, doc = _create(service, clips, user="drew")
         assert status == 200  # existing session, not a new one
         assert doc["resumed"] and doc["round"] == 1
+
+    @pytest.mark.parametrize("change", [
+        {"top_k": 15},
+        {"params": {"candidates_per_shard": 3}},
+        {"engine": "weighted_rf"},
+    ], ids=["top_k", "params", "engine"])
+    @pytest.mark.parametrize("where", ["resident", "evicted", "other_worker"])
+    def test_recreate_with_other_settings_conflicts(self, service_db,
+                                                    change, where):
+        """A re-create that changes the engine, ``top_k`` or ``params``
+        gets 409 with the stored settings and changes nothing: not the
+        record, not the resident session, not what another worker
+        builds from the record."""
+        path, clips = service_db
+        user = f"reset-{where}-{next(iter(change))}"
+        first, other = RetrievalService(path), RetrievalService(path)
+        try:
+            sid = _create(first, clips, user=user, top_k=5)[1]["session"]
+            _label_round(first, sid)
+            if where == "evicted":
+                assert _call(first, "DELETE", f"/sessions/{sid}")[1]["closed"]
+            worker = other if where == "other_worker" else first
+
+            status, doc = _create(worker, clips, user=user,
+                                  **{"top_k": 5, **change})
+            assert status == 409
+            assert doc["error"] == "settings_conflict"
+            stored = {"engine": "mil_ocsvm", "top_k": 5, "params": {}}
+            assert doc["stored"] == stored
+            info = _call(worker, "GET", f"/sessions/{sid}")[1]
+            assert {k: info[k] for k in stored} == stored
+            assert info["resident"] == (where == "resident")
+
+            # Every worker still serves the stored settings.
+            for svc in (first, other):
+                doc = _call(svc, "GET", f"/sessions/{sid}/results")[1]
+                assert doc["round"] == 1 and len(doc["results"]) == 5
+                engine = svc._sessions[sid].session.engine
+                assert type(engine.rule).__name__ == "OneClassRule"
+                assert engine.candidates_per_shard is None
+
+            status, doc = _create(worker, clips, user=user, top_k=5)
+            assert status == 200 and doc["resumed"] and doc["top_k"] == 5
+        finally:
+            first.close()
+            other.close()
 
     def test_info_list_and_close(self, service, service_db):
         _, clips = service_db

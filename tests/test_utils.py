@@ -12,7 +12,6 @@ from repro.utils import (
     check_2d,
     check_in_range,
     check_positive,
-    moving_average,
     pairwise_sq_dists,
 )
 
@@ -72,21 +71,3 @@ class TestPairwiseSqDists:
         d2 = pairwise_sq_dists(a, a)
         assert d2.min() >= 0.0
         assert np.allclose(np.diag(d2), 0.0, atol=1e-6)
-
-
-class TestMovingAverage:
-    def test_ramp_up(self):
-        out = moving_average([2.0, 4.0, 6.0], window=2)
-        assert out == pytest.approx([2.0, 3.0, 5.0])
-
-    def test_window_one_identity(self):
-        values = [1.0, 5.0, 2.0]
-        assert list(moving_average(values, 1)) == values
-
-    def test_constant_series(self):
-        out = moving_average([3.0] * 10, window=4)
-        assert np.allclose(out, 3.0)
-
-    def test_bad_window(self):
-        with pytest.raises(ConfigurationError):
-            moving_average([1.0], 0)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -202,6 +203,20 @@ class SegmentedRunner:
         resumes after the deepest contiguous stored prefix.  When the
         generator is exhausted, :attr:`artifacts` holds the clip's full
         batch-identical :class:`ClipArtifacts`.
+
+        The computed segments read their frames from one
+        :class:`~repro.vision.frames.FrameReader`, opened at the first
+        computed segment (after the background bootstrap, if the carry
+        has none) with a window of ``segment_frames``.  So while the
+        generator waits at a ``yield`` for its caller, the reader's
+        helper thread renders the next segment, and each frame renders
+        once per stream, the bootstrap's sampled frames included.  At
+        most one segment of frames is rendered past the caller, plus the
+        sampled frames not yet reached (at most the model's
+        ``bootstrap_frames``, 25 by default).  The reader closes, and its
+        helper is joined, when the generator is exhausted or closed; a
+        caller that stops early should ``close()`` it, as :meth:`run`
+        does, rather than leave that to garbage collection.
         """
         obs = get_telemetry()
         bounds = self.segment_bounds(result.n_frames)
@@ -243,65 +258,79 @@ class SegmentedRunner:
                 final=art.index == len(bounds) - 1,
             )
 
-        clip = self._render(result) if start < len(bounds) else None
-        for i in range(start, len(bounds)):
-            lo, hi = bounds[i]
-            final = i == len(bounds) - 1
-            with obs.span("ingest.segment", clip=result.name, segment=i,
-                          frames=hi - lo) as sp:
-                detections = carry.segmenter.process_range(clip, lo, hi)
-                for frame in range(lo, hi):
-                    carry.tracker.update(frame, detections[frame - lo])
-                if final:
-                    tracks = carry.tracker.finish()
-                    bags = carry.emitter.emit(
-                        tracks, [], processed_frames=hi, final=True)
-                else:
-                    tracks = None
-                    bags = carry.emitter.emit(
-                        carry.tracker.finished_tracks,
-                        carry.tracker.open_tracks,
-                        processed_frames=hi)
-                if sp is not None:
-                    sp.set(bags=len(bags),
-                           frontier=carry.emitter.last_frontier)
-            self.segments_executed += 1
-            done += 1
-            obs.counter("ingest.segments").inc(outcome="computed")
-            if bags:
-                obs.counter("ingest.bags_emitted").inc(len(bags))
-            lag = (hi - 1) - carry.emitter.last_frontier
-            obs.gauge("ingest.lag_frames").set(max(lag, 0))
-            elapsed = time.perf_counter() - started
-            if elapsed > 0:
-                obs.gauge("ingest.segments_per_sec").set(done / elapsed)
+        if start == len(bounds):  # all replayed: nothing to render
+            assert final_artifact is not None
+            self.artifacts = self._finalize(result, final_artifact)
+            return
+        # One reader for every computed frame, rendering up to a segment
+        # ahead: its helper renders the next segment while the caller
+        # handles this one's emission.  It is a local, closed however the
+        # stream ends, so no thread or frame outlives the stream and the
+        # carry holds neither.
+        reader = carry.segmenter.open_reader(
+            self._render(result), bounds[start][0],
+            window=self.segment_frames)
+        try:
+            for i in range(start, len(bounds)):
+                lo, hi = bounds[i]
+                final = i == len(bounds) - 1
+                with obs.span("ingest.segment", clip=result.name, segment=i,
+                              frames=hi - lo) as sp:
+                    for frame in range(lo, hi):
+                        carry.tracker.update(frame, carry.segmenter.detect(
+                            frame, next(reader)))
+                    if final:
+                        tracks = carry.tracker.finish()
+                        bags = carry.emitter.emit(
+                            tracks, [], processed_frames=hi, final=True)
+                    else:
+                        tracks = None
+                        bags = carry.emitter.emit(
+                            carry.tracker.finished_tracks,
+                            carry.tracker.open_tracks,
+                            processed_frames=hi)
+                    if sp is not None:
+                        sp.set(bags=len(bags),
+                               frontier=carry.emitter.last_frontier)
+                self.segments_executed += 1
+                done += 1
+                obs.counter("ingest.segments").inc(outcome="computed")
+                if bags:
+                    obs.counter("ingest.bags_emitted").inc(len(bags))
+                lag = (hi - 1) - carry.emitter.last_frontier
+                obs.gauge("ingest.lag_frames").set(max(lag, 0))
+                elapsed = time.perf_counter() - started
+                if elapsed > 0:
+                    obs.gauge("ingest.segments_per_sec").set(done / elapsed)
 
-            artifact = SegmentArtifact(
-                index=i, frame_lo=lo, frame_hi=hi,
-                frontier=carry.emitter.last_frontier, bags=bags,
-                # Only store.save reads the carry; the live one moves on.
-                carry=(copy.deepcopy(carry) if self.store is not None
-                       else None),
-                n_open_tracks=len(carry.tracker.open_tracks),
-                n_finished_tracks=len(carry.tracker.finished_tracks),
-                tracks=tracks,
-                dataset=carry.emitter.last_dataset if final else None,
-            )
-            if final:
-                final_artifact = artifact
-            if self.store is not None:
-                self.store.save(keys[i], artifact, meta={
-                    "clip_id": result.name,
-                    "stage": f"stream.segment[{i}]",
-                    "fingerprint": repr(self._stream_fingerprint()),
-                })
-            yield SegmentEmission(
-                index=i, frame_lo=lo, frame_hi=hi, bags=bags,
-                frontier=artifact.frontier, cached=False,
-                n_open_tracks=artifact.n_open_tracks,
-                n_finished_tracks=artifact.n_finished_tracks,
-                final=final,
-            )
+                artifact = SegmentArtifact(
+                    index=i, frame_lo=lo, frame_hi=hi,
+                    frontier=carry.emitter.last_frontier, bags=bags,
+                    # Only store.save reads the carry; the live one moves on.
+                    carry=(copy.deepcopy(carry) if self.store is not None
+                           else None),
+                    n_open_tracks=len(carry.tracker.open_tracks),
+                    n_finished_tracks=len(carry.tracker.finished_tracks),
+                    tracks=tracks,
+                    dataset=carry.emitter.last_dataset if final else None,
+                )
+                if final:
+                    final_artifact = artifact
+                if self.store is not None:
+                    self.store.save(keys[i], artifact, meta={
+                        "clip_id": result.name,
+                        "stage": f"stream.segment[{i}]",
+                        "fingerprint": repr(self._stream_fingerprint()),
+                    })
+                yield SegmentEmission(
+                    index=i, frame_lo=lo, frame_hi=hi, bags=bags,
+                    frontier=artifact.frontier, cached=False,
+                    n_open_tracks=artifact.n_open_tracks,
+                    n_finished_tracks=artifact.n_finished_tracks,
+                    final=final,
+                )
+        finally:
+            reader.close()
 
         assert final_artifact is not None
         self.artifacts = self._finalize(result, final_artifact)
@@ -326,11 +355,16 @@ class SegmentedRunner:
 
         ``on_emission`` is called after every segment — the streaming
         ingest path uses it to append each emission's bags to the
-        database/live shard as soon as they are final.
+        database/live shard as soon as they are final.  The stream's
+        frame reader renders the next segment while it runs, and is
+        closed before this returns or raises: an ``on_emission`` error
+        leaves no helper thread running, even while its traceback holds
+        the stream.
         """
         with get_telemetry().span("pipeline.stream", clip=result.name,
-                                  segment_frames=self.segment_frames):
-            for emission in self.stream(result):
+                                  segment_frames=self.segment_frames), \
+                closing(self.stream(result)) as stream:
+            for emission in stream:
                 if on_emission is not None:
                     on_emission(emission)
         assert self.artifacts is not None

@@ -13,16 +13,18 @@ transport.
 Session lifecycle
 -----------------
 ``POST /sessions`` registers a durable :class:`~repro.db.SessionRecord`
-in the catalog and materializes the session in this worker.  Re-creating
-a session resumes it when the create repeats the stored engine,
-``top_k`` and ``params``, and answers 409 with the stored ones when it
-does not: no worker's resident session could follow the change.  The
-session *object* is a cache: any worker that receives a request for an
-unknown session id reconstructs it from the record and the stored label
-history (the library's normal resume path), so workers are
-interchangeable.  Two workers feeding the same session race on the
-optimistic round guard — the loser gets 409 with its session already
-resynced onto the winning history.
+in the catalog and materializes the session in this worker.  It answers
+201 when the catalog held no record for the session id, and 200 when it
+resumes a stored one, whichever worker answers (two workers creating one
+new id at once can both answer 201).  Re-creating a session resumes it
+when the create repeats the stored engine, ``top_k`` and ``params``, and
+answers 409 with the stored ones when it does not: no worker's resident
+session could follow the change.  The session *object* is a cache: any
+worker that receives a request for an unknown session id reconstructs
+it from the record and the stored label history (the library's normal
+resume path), so workers are interchangeable.  Two workers feeding the
+same session race on the optimistic round guard — the loser gets 409
+with its session already resynced onto the winning history.
 """
 
 from __future__ import annotations
@@ -334,11 +336,13 @@ class RetrievalService:
                            f"resume it",
                 "stored": {"engine": stored.engine, "top_k": stored.top_k,
                            "params": stored.params}})
-        entry, created = self._materialize(record)
+        entry, _ = self._materialize(record)
         with entry.lock:
             self.db.register_session(record)
             session = entry.session
-            return _json_body(201 if created else 200, {
+            # Created means the catalog had no record: a stored session
+            # resumes with 200 on any worker, resident here or not.
+            return _json_body(201 if stored is None else 200, {
                 "session": record.session_id,
                 "round": session.round_index,
                 "resumed": session.round_index > 0,

@@ -5,7 +5,7 @@ metadata the database layer stores (clip id, fps, location, camera).
 Frames can be held eagerly (an ``(n, h, w)`` array) or produced lazily by a
 renderer, which matters for the paper-scale 2500-frame tunnel clip.
 A :class:`FrameReader` reads frames in order while a helper thread
-renders the next ones, so rendering overlaps the caller's segmentation.
+renders the next ones, so rendering overlaps the caller's work.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from repro.errors import PipelineError
 
 __all__ = ["VideoClip", "FrameReader", "READ_AHEAD"]
 
-#: How many frames past the caller's position may be rendered ahead.  Two
-#: keep the helper busy while the caller segments a frame, and bound the
-#: rendered frames waiting in memory to two.
+#: A batch read's window: how many frames past the caller's position may
+#: be rendered ahead.  Two keep the helper busy while the caller segments
+#: a frame, and bound the rendered frames waiting in memory to two.
 READ_AHEAD = 2
 
 
@@ -157,31 +157,41 @@ class FrameReader:
     frames; a sequence is read in place, on the caller's thread.  For a
     clip, the caller renders the first frame itself, which fixes the
     clip's frame shape before another thread reads a frame.  Then one
-    helper thread renders up to :data:`READ_AHEAD` frames past the
-    caller's position, and a caller that would wait for the helper
-    renders the next frame nobody has started instead.  Every frame is
+    helper thread renders up to ``window`` frames past the caller's
+    position, and a caller that would wait for the helper renders the
+    next frame nobody has started instead.  Every frame is
     ``clip.get(i)``, a pure function of ``i`` (see :class:`VideoClip`),
     so the frames are the same whichever thread renders them and in
     whatever order.
+
+    ``window`` bounds the rendered frames waiting for the caller.  A
+    batch read keeps :data:`READ_AHEAD`; a segment stream passes its
+    segment length, so the helper renders the next segment while the
+    caller is away between segments.
 
     ``rendered`` maps indices to frames already rendered from
     ``frames``.  The reader hands such a frame out in place of rendering
     it again, and removes it from the dict as it does, so the dict holds
     no frame past its use; closing the reader empties it.
 
-    The helper renders under a copy of the caller's :mod:`contextvars`
-    context, so a render's telemetry events carry the caller's query
-    context.  A frame that failed to render raises its exception when
-    the caller reaches it, and closes the reader.  :meth:`close` stops
-    the helper and joins it; iterating to the end or leaving a ``with``
-    block closes the reader, so the helper lives for one use only.
+    The helper renders under a copy of the :mod:`contextvars` context
+    the reader was made in, so a render's telemetry events carry that
+    query context.  A frame that failed to render raises its exception
+    when the caller reaches it, and closes the reader.  :meth:`close`
+    stops the helper and joins it; iterating to the end or leaving a
+    ``with`` block closes the reader, so the helper lives for one read
+    only.
     """
 
     #: Name of the helper thread (tests look for leftover helpers).
     THREAD_NAME = "repro-frame-reader"
 
     def __init__(self, frames, indices: Iterable[int],
-                 rendered: dict[int, np.ndarray] | None = None) -> None:
+                 rendered: dict[int, np.ndarray] | None = None,
+                 window: int = READ_AHEAD) -> None:
+        if window < 1:
+            raise PipelineError(f"window must be >= 1, got {window}")
+        self._window = int(window)
         self._ahead = isinstance(frames, VideoClip)
         self._get = frames.get if self._ahead else frames.__getitem__
         self._rendered = {} if rendered is None else rendered
@@ -241,7 +251,7 @@ class FrameReader:
                 # The helper is rendering ``pos``: render a later frame
                 # meanwhile, or wait when the window is full.
                 spare = self._started
-                if spare >= min(end, self._next + READ_AHEAD):
+                if spare >= min(end, self._next + self._window):
                     self._cond.wait()
                     continue
                 self._started = spare + 1
@@ -264,7 +274,7 @@ class FrameReader:
         while True:
             with self._cond:
                 while (not self._closed and self._started < end
-                       and self._started >= self._next + READ_AHEAD):
+                       and self._started >= self._next + self._window):
                     self._cond.wait()
                 if self._closed or self._started >= end:
                     return
@@ -288,6 +298,8 @@ class FrameReader:
             self._done.clear()
             self._rendered.clear()
             self._cond.notify_all()
-        if self._helper is not None:
-            self._helper.join()
-            self._helper = None
+        helper, self._helper = self._helper, None
+        # A stream dropped unclosed may be collected on its own helper
+        # thread, which then stops at its next check, unjoined.
+        if helper is not None and helper is not threading.current_thread():
+            helper.join()

@@ -14,7 +14,7 @@ import numpy as np
 from repro.errors import PipelineError
 from repro.vision.background import BackgroundModel, bootstrap_indices
 from repro.vision.blobs import Blob, clean_mask, extract_blobs
-from repro.vision.frames import FrameReader
+from repro.vision.frames import READ_AHEAD, FrameReader
 from repro.vision.spcpe import SPCPE
 
 __all__ = ["Detection", "SegmentationPipeline"]
@@ -106,47 +106,42 @@ class SegmentationPipeline:
         """Process a whole clip; returns one detection list per frame.
 
         ``clip`` is a :class:`~repro.vision.frames.VideoClip` or any
-        sequence of frames.  The background is bootstrapped from the clip
-        if the model is not already fitted.  A clip's frames render ahead
-        on a helper thread while this one segments (see
-        :class:`~repro.vision.frames.FrameReader`); the helper is joined
-        before this returns.  Each frame renders once: the frames the
-        bootstrap sampled are segmented without rendering them again.
+        sequence of frames.  The frames are read through
+        :meth:`open_reader` with a window of
+        :data:`~repro.vision.frames.READ_AHEAD`: they render ahead on a
+        helper thread while this one segments, the helper is joined
+        before this returns, and each frame renders once.
         """
-        return self.process_range(clip, 0, len(clip))
+        with self.open_reader(clip) as frames:
+            return [self.detect(i, frame) for i, frame in enumerate(frames)]
 
-    def process_range(self, clip, lo: int, hi: int) -> list[list[Detection]]:
-        """Process frames ``[lo, hi)`` of a clip, carrying model state.
+    def open_reader(self, clip, lo: int = 0, *,
+                    window: int = READ_AHEAD) -> FrameReader:
+        """A :class:`~repro.vision.frames.FrameReader` over frames
+        ``[lo, len(clip))``, with the background learned first.
 
-        Streaming building block: feeding contiguous ranges in order
-        through one pipeline instance reproduces :meth:`process` exactly,
-        because the background bootstrap (first call only) samples the
-        whole clip just as the batch path does, and the selective running
-        average then sees the frames in the same global order.  The
-        pipeline object is picklable between calls, so a resumed ingest
-        can restore it mid-clip: frames render ahead as in
-        :meth:`process`, and no reader, thread or frame outlives the
-        call.  The bootstrap's frames inside ``[lo, hi)`` are segmented
-        without rendering them again; the others are dropped when the
-        background is learned.
+        If the model is not fitted, the background is bootstrapped from
+        a sample of the whole clip, rendered through a short-lived reader
+        of its own, and the new reader hands out the sampled frames at or
+        after ``lo`` instead of rendering them again; the others are
+        dropped before this returns.  Feeding the reader's frames to
+        :meth:`detect` in order reproduces :meth:`process` on any split,
+        because the bootstrap samples the whole clip and the running
+        average then sees the frames in global order.  ``window`` is the
+        reader's render-ahead window.  The caller closes the reader
+        (a ``with`` block, or ``close()`` in a ``finally``); nothing of
+        it is stored on this pipeline, which stays picklable.
         """
-        if not 0 <= lo <= hi <= len(clip):
+        if not 0 <= lo <= len(clip):
             raise PipelineError(
-                f"frame range [{lo}, {hi}) outside clip of {len(clip)} frames"
-            )
+                f"frame {lo} outside clip of {len(clip)} frames")
         rendered = {}
         if not self.background.is_fitted:
-            rendered = self._bootstrap(clip, lo, hi)
-        with FrameReader(clip, range(lo, hi), rendered) as frames:
-            return [self.detect(i, frame)
-                    for i, frame in enumerate(frames, start=lo)]
-
-    def _bootstrap(self, clip, lo: int, hi: int) -> dict[int, np.ndarray]:
-        """Learn the background; return its sampled frames in ``[lo, hi)``."""
-        indices = bootstrap_indices(len(clip),
-                                    self.background.bootstrap_frames)
-        with FrameReader(clip, indices) as frames:
-            sample = list(frames)
-        self.background.learn(sample)
-        return {i: frame for i, frame in zip(indices, sample)
-                if lo <= i < hi}
+            indices = bootstrap_indices(len(clip),
+                                        self.background.bootstrap_frames)
+            with FrameReader(clip, indices) as sampled:
+                sample = list(sampled)
+            self.background.learn(sample)
+            rendered = {i: frame for i, frame in zip(indices, sample)
+                        if i >= lo}
+        return FrameReader(clip, range(lo, len(clip)), rendered, window)

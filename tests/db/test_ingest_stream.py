@@ -8,6 +8,8 @@ the stream, after a resume, and with no duplicate catalog rows.  An open
 next round without being recreated.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,18 @@ from repro.db import MultiClipQuerySession, StreamingIngest, VideoDatabase
 from repro.errors import StorageError
 from repro.eval import build_artifacts
 from repro.pipeline import MemoryArtifactStore, PipelineConfig, PipelineRunner
+from repro.vision import FrameReader
 
 SEGMENT_FRAMES = 150  # 400-frame intersection clip -> 3 segments
+
+
+@pytest.fixture(autouse=True)
+def no_helper_left():
+    """No stream's render-ahead helper outlives a test, failed appends
+    and interrupted ingests included."""
+    yield
+    assert [t for t in threading.enumerate()
+            if t.name == FrameReader.THREAD_NAME] == []
 
 
 @pytest.fixture(scope="module")

@@ -163,6 +163,32 @@ class TestSessionLifecycle:
         assert status == 200  # existing session, not a new one
         assert doc["resumed"] and doc["round"] == 1
 
+    @pytest.mark.parametrize("where", [
+        "first", "resident", "other_worker", "after_delete"])
+    def test_create_answers_201_only_for_a_new_record(self, service_db,
+                                                      where):
+        """201 follows the catalog, not residency: a re-create of a stored
+        session answers 200 on the worker that holds it, on another
+        worker over the same catalog, and after ``DELETE`` evicted it."""
+        path, clips = service_db
+        user = f"status-{where}"
+        first, other = RetrievalService(path), RetrievalService(path)
+        try:
+            status, doc = _create(first, clips, user=user)
+            assert status == 201 and not doc["resumed"]
+            if where == "first":
+                return
+            if where == "after_delete":
+                sid = doc["session"]
+                assert _call(first, "DELETE", f"/sessions/{sid}")[0] == 200
+            worker = other if where == "other_worker" else first
+            status, doc = _create(worker, clips, user=user)
+            assert status == 200
+            assert doc["round"] == 0 and not doc["resumed"]
+        finally:
+            first.close()
+            other.close()
+
     @pytest.mark.parametrize("change", [
         {"top_k": 15},
         {"params": {"candidates_per_shard": 3}},

@@ -5,9 +5,21 @@ every streamed variant, and they are the expensive part — compute them
 once per session.
 """
 
+import threading
+
 import pytest
 
 from repro.pipeline import PipelineConfig, PipelineRunner
+from repro.vision import FrameReader
+
+
+@pytest.fixture(autouse=True)
+def no_helper_left():
+    """A stream's render-ahead helper must not outlive the test, however
+    the stream ended: exhausted, closed midway or dropped."""
+    yield
+    assert [t for t in threading.enumerate()
+            if t.name == FrameReader.THREAD_NAME] == []
 
 
 @pytest.fixture(scope="session")

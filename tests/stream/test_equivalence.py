@@ -4,14 +4,21 @@ Streaming a clip in k segments must be *bag-for-bag and
 ranking-for-ranking identical* to the batch pipeline — same bag ids and
 frame spans, same instances (track ids and feature matrices), same final
 tracks, and the same round-1 ranking after identical feedback.  Asserted
-for k in {2, 3, 7} on both fixture clips.
+for k in {2, 3, 7} on both fixture clips, and, on a short clip, for any
+segment length from one frame to the whole clip, segment by segment.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MILRetrievalEngine
-from repro.pipeline import PipelineConfig, SegmentedRunner
+from repro.pipeline import PipelineConfig, PipelineRunner, SegmentedRunner
+from repro.sim import intersection
+from repro.vision import SegmentationPipeline
+
+SHORT_FRAMES = 120
 
 
 def frames_per_segment(n_frames: int, k: int) -> int:
@@ -98,3 +105,49 @@ class TestRankingEquivalence:
         mine.feed(labels)
         ref.feed(labels)
         assert mine.rank() == ref.rank()
+
+
+@pytest.fixture(scope="module")
+def short_clip():
+    return intersection(n_frames=SHORT_FRAMES, width=96, height=72, seed=4,
+                        n_collisions=1)
+
+
+@pytest.fixture(scope="module")
+def short_batch(short_clip):
+    """The short clip's per-frame detections from one ``process`` call
+    with the stream's segmenter settings, and its batch artifacts."""
+    runner = SegmentedRunner(PipelineConfig())
+    segmenter = runner._fresh_carry(short_clip).segmenter
+    detections = segmenter.process(runner._render(short_clip))
+    return detections, PipelineRunner(PipelineConfig()).run(short_clip)
+
+
+class TestAnySegmentLength:
+    @settings(max_examples=40, deadline=None)
+    @given(segment=st.integers(1, SHORT_FRAMES))
+    def test_segments_detect_as_batch_does(self, short_clip, short_batch,
+                                           segment):
+        """Each segment's detections are its slice of ``process``, bit
+        for bit, and the final artifacts equal the batch build's."""
+        detections, batch = short_batch
+        detected = []
+        detect = SegmentationPipeline.detect
+
+        def recording(self, i, frame):
+            found = detect(self, i, frame)
+            detected.append((i, found))
+            return found
+
+        runner = SegmentedRunner(PipelineConfig(), segment_frames=segment)
+        seen = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SegmentationPipeline, "detect", recording)
+            for emission in runner.stream(short_clip):
+                lo, hi = emission.frame_lo, emission.frame_hi
+                assert [i for i, _ in detected[seen:]] == list(range(lo, hi))
+                assert [d for _, d in detected[seen:]] == detections[lo:hi]
+                seen = len(detected)
+        assert seen == SHORT_FRAMES
+        assert_datasets_equal(runner.artifacts.dataset, batch.dataset)
+        assert_tracks_equal(runner.artifacts.tracks, batch.tracks)

@@ -249,8 +249,10 @@ def test_learn_from_clip_equals_learn_from_array(sim, model):
 
 
 def test_process_and_ranges_equal_sequential_detect(sim):
-    """Read-ahead changes no detection: ``process`` and contiguous
-    ``process_range`` calls equal a frame-by-frame ``detect`` loop."""
+    """Read-ahead changes no detection: ``process`` and a stream's read
+    in 7-frame ranges (one reader with a 7-frame window, the caller away
+    after each range while the helper fills it) equal a frame-by-frame
+    ``detect`` loop."""
     clip = _sim_clip(sim)
     stacked = np.stack([clip.get(i) for i in range(len(clip))])
     reference = SegmentationPipeline(use_spcpe=False)
@@ -259,9 +261,30 @@ def test_process_and_ranges_equal_sequential_detect(sim):
     assert SegmentationPipeline(use_spcpe=False).process(clip) == expected
     ranged = SegmentationPipeline(use_spcpe=False)
     got = []
-    for lo in range(0, N_FRAMES, 7):
-        got += ranged.process_range(clip, lo, min(lo + 7, N_FRAMES))
+    with ranged.open_reader(clip, window=7) as frames:
+        for i, frame in enumerate(frames):
+            got.append(ranged.detect(i, frame))
+            if i % 7 == 6:
+                threading.Event().wait(0.005)
     assert got == expected
+
+
+@pytest.mark.parametrize("window", [1, READ_AHEAD, 7])
+def test_helper_renders_at_most_its_window_ahead(sim, window):
+    """Past the frame the caller last took, the helper starts at most
+    ``window`` frames, however long the caller stays away."""
+    threads = {}
+    clip = _recording(_sim_clip(sim), threads)
+    with FrameReader(clip, range(40), window=window) as frames:
+        for i, _ in enumerate(frames):
+            threading.Event().wait(0.003)
+            assert max(threads) <= i + window
+    assert FrameReader.THREAD_NAME in threads.values()
+
+
+def test_window_must_be_positive(sim):
+    with pytest.raises(PipelineError, match="window"):
+        FrameReader(_sim_clip(sim), range(3), window=0)
 
 
 def test_stress_concurrent_readers_with_short_switch_interval(sim):
